@@ -18,6 +18,7 @@ from . import baseline as baseline_mod
 from . import evalmetrics, graph, io, metric, smoother, synthcheck
 from .errors import (
     FairSmoothError,
+    IndexOutOfRange,
     NumericalError,
     ParseError,
     RowCountMismatch,
@@ -198,8 +199,10 @@ def cmd_smooth(args) -> None:
 def cmd_inductive(args) -> None:
     fitted = io.read_matrix_csv(args.fitted)
     weights = np.zeros(fitted.shape[0])
-    for idx, _, w in [(i, i, w) for i, w in _read_weight_rows(args.weights)]:
-        weights[idx] = w
+    idx, w = _read_weight_rows(args.weights)
+    if idx.size and (idx.min() < 0 or idx.max() >= weights.size):
+        raise IndexOutOfRange(f"{args.weights}: index outside 0..{weights.size - 1}")
+    weights[idx] = w
     y_new = np.array(_parse_float_list(args.yhat_new))
     out = smoother.inductive_update(fitted, weights, y_new, args.lam)
     out = np.atleast_1d(out)
@@ -210,20 +213,9 @@ def cmd_inductive(args) -> None:
 
 
 def _read_weight_rows(path):
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ParseError(f"{path}:{lineno}: expected 'index<TAB>weight'")
-            try:
-                rows.append((int(parts[0]), float(parts[1])))
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: could not parse {line!r}")
-    return rows
+    """Read 'index<TAB>weight' rows as an index array and a weight array."""
+    (idx, w), _ = io.read_table(path, (np.int64, float), delimiter="\t", comments=True)
+    return idx, w
 
 
 def cmd_baseline(args) -> None:

@@ -19,6 +19,7 @@ from .errors import (
     ParseError,
     SelfLoop,
 )
+from .io import line_of_row, read_table, write_rows
 from .metric import FairMetricSpec, pairwise_fair_distances
 
 # weights this small cannot influence solutions beyond machine precision
@@ -85,10 +86,9 @@ def build_similarity_graph(
     X = np.asarray(X, dtype=float)
     dist = pairwise_fair_distances(metric, X)
     n = X.shape[0]
-    iu, ju = np.triu_indices(n, k=1)
+    # row-major nonzero order is the (i, j) order of the edge list
+    iu, ju = np.nonzero(np.triu(dist <= tau, 1))
     d = dist[iu, ju]
-    keep = d <= tau
-    iu, ju, d = iu[keep], ju[keep], d[keep]
     w = np.exp(-theta * d * d)
     keep = w >= WEIGHT_FLOOR
     return _make_graph(n, iu[keep], ju[keep], w[keep])
@@ -130,41 +130,32 @@ def write_edge_list(g: SimilarityGraph, path) -> None:
     """Write the graph as TSV: header '# n=<n>' then 'i<TAB>j<TAB>w' lines."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# n={g.n}\n")
-        for i, j, w in zip(g.rows, g.cols, g.weights):
-            fh.write(f"{i}\t{j}\t{w:.17g}\n")
+        write_rows(fh, "%d\t%d\t%.17g\n", g.rows, g.cols, g.weights)
 
 
 def read_edge_list(path) -> SimilarityGraph:
-    """Read a graph written by :func:`write_edge_list`."""
-    rows, cols, weights = [], [], []
+    """Read a graph written by :func:`write_edge_list`.
+
+    Every '#' line is a header '# n=<n>'; the last one sets n.
+    """
+    (rows, cols, weights), headers = read_table(
+        path, (np.int64, np.int64, float), delimiter="\t", comments=True
+    )
+    bad = np.flatnonzero((rows >= cols) | (weights <= 0))
+    if bad.size:
+        row = int(bad[0])
+        lineno = line_of_row(path, row, comments=True)
+        if rows[row] >= cols[row]:
+            raise ParseError(f"{path}:{lineno}: edges must have i < j")
+        raise ParseError(f"{path}:{lineno}: weight must be positive")
     n = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                try:
-                    n = int(line.lstrip("#").strip().split("=", 1)[1])
-                except (IndexError, ValueError):
-                    raise ParseError(f"{path}:{lineno}: malformed header {line!r}")
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ParseError(f"{path}:{lineno}: expected 'i<TAB>j<TAB>w'")
-            try:
-                i, j, w = int(parts[0]), int(parts[1]), float(parts[2])
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: could not parse {line!r}")
-            if i >= j:
-                raise ParseError(f"{path}:{lineno}: edges must have i < j")
-            if w <= 0:
-                raise ParseError(f"{path}:{lineno}: weight must be positive")
-            rows.append(i)
-            cols.append(j)
-            weights.append(w)
+    for lineno, line in headers:
+        try:
+            n = int(line.lstrip("#").strip().split("=", 1)[1])
+        except (IndexError, ValueError):
+            raise ParseError(f"{path}:{lineno}: malformed header {line!r}")
     if n is None:
         raise ParseError(f"{path}: missing '# n=<n>' header")
-    if rows and (max(cols) >= n):
-        raise IndexOutOfRange(f"{path}: edge index exceeds n={n}")
+    if cols.size and (cols.max() >= n or rows.min() < 0):
+        raise IndexOutOfRange(f"{path}: edge index outside 0..{n - 1}")
     return _make_graph(n, rows, cols, weights)

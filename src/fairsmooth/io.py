@@ -6,7 +6,8 @@ reproduces the exact double-precision values.
 
 import csv
 import json
-from typing import List, Optional, Tuple
+import warnings
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -14,36 +15,149 @@ from .errors import ParseError
 
 FLOAT_FMT = "%.17g"
 
+# rows per write: bounds the formatted text held at once
+WRITE_CHUNK = 4096
+
 
 def format_float(x: float) -> str:
     return FLOAT_FMT % x
 
 
+def read_table(
+    path, dtypes: Optional[Sequence] = None, *, delimiter: str, comments: bool = False, skiprows: int = 0
+):
+    """Parse a delimited numeric text file with numpy's C reader.
+
+    Returns ``(data, comment_lines)``.  With ``dtypes`` (one per column)
+    ``data`` is a list of 1-D column arrays, and integer columns reject text
+    such as ``1.5``; without, it is a 2-D float array as wide as the first
+    data row.  Blank lines are skipped.  With ``comments``, lines whose first
+    non-blank character is '#' are skipped too and returned in
+    ``comment_lines`` as ``(lineno, text)``; a '#' later in a line is an
+    error.  A rejected file raises :class:`ParseError` naming its first bad
+    line.
+    """
+    notes = _comment_lines(path) if comments else []
+    structured = dtypes is not None
+    dtype = np.dtype([(f"c{k}", t) for k, t in enumerate(dtypes)]) if structured else float
+    options = dict(
+        dtype=dtype,
+        delimiter=delimiter,
+        comments="#" if comments else None,
+        quotechar='"' if delimiter == "," else None,
+        ndmin=1 if structured else 2,
+    )
+    with warnings.catch_warnings():
+        # a file without data rows is an empty table; callers decide if that is an error
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        try:
+            table = np.loadtxt(path, skiprows=skiprows, **options)
+        except ValueError as exc:
+            bad = _first_bad_line(path, dtypes, delimiter, comments, skiprows)
+            if bad is not None:
+                raise ParseError(bad) from None
+            # every data line parses, so np.loadtxt stopped at a line of
+            # spaces, which it does not take for blank: give it the data lines
+            try:
+                table = np.loadtxt(
+                    (text for _, text in _data_lines(path, comments, skiprows)), **options
+                )
+            except ValueError:
+                raise ParseError(f"{path}: {exc}") from None
+    if structured:
+        return [table[name] for name in dtype.names], notes
+    return table, notes
+
+
+def line_of_row(path, row: int, *, comments: bool = False, skiprows: int = 0) -> int:
+    """Line number of data row ``row`` (0-based) of a file read by :func:`read_table`."""
+    for k, (lineno, _) in enumerate(_data_lines(path, comments, skiprows)):
+        if k == row:
+            return lineno
+    raise IndexError(row)
+
+
+def _data_lines(path, comments, skiprows):
+    """(lineno, stripped text) of each data line, for files np.loadtxt rejected
+    and for naming a bad row; the fast path never loops over lines."""
+    with open(path, "r", encoding="utf-8", newline=None) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            text = line.strip()
+            if lineno <= skiprows or not text or (comments and text.startswith("#")):
+                continue
+            yield lineno, text
+
+
+def _first_bad_line(path, dtypes, delimiter, comments, skiprows) -> Optional[str]:
+    kinds = None if dtypes is None else [int if np.issubdtype(t, np.integer) else float for t in dtypes]
+    for lineno, text in _data_lines(path, comments, skiprows):
+        fields = next(csv.reader([text])) if delimiter == "," else text.split(delimiter)
+        if kinds is None:
+            kinds = [float] * len(fields)
+        if len(fields) != len(kinds):
+            return f"{path}:{lineno}: expected {len(kinds)} columns, got {len(fields)}"
+        try:
+            for kind, value in zip(kinds, fields):
+                kind(value)
+        except ValueError:
+            return f"{path}:{lineno}: could not parse {text!r}"
+    return None
+
+
+def _comment_lines(path) -> List[Tuple[int, str]]:
+    """Lines whose first non-blank character is '#', found without a per-line loop.
+
+    A '#' later in a line is not a comment: that line is rejected.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    notes = []
+    lineno, counted = 1, 0
+    pos = data.find(b"#")
+    while pos >= 0:
+        start = data.rfind(b"\n", 0, pos) + 1
+        end = data.find(b"\n", pos)
+        end = len(data) if end < 0 else end
+        lineno += data.count(b"\n", counted, start)
+        counted = start
+        text = data[start:end].decode("utf-8").strip()
+        if not text.startswith("#"):
+            raise ParseError(f"{path}:{lineno}: could not parse {text!r}")
+        notes.append((lineno, text))
+        pos = data.find(b"#", end)
+    return notes
+
+
+def write_rows(fh, row_format: str, *columns) -> None:
+    """Write one ``row_format`` line per row of the parallel 1-D ``columns``."""
+    width = len(columns)
+    total = len(columns[0]) if columns else 0
+    for start in range(0, total, WRITE_CHUNK):
+        stop = min(start + WRITE_CHUNK, total)
+        values = [None] * (width * (stop - start))
+        for k, column in enumerate(columns):
+            values[k::width] = column[start:stop].tolist()
+        fh.write((row_format * (stop - start)) % tuple(values))
+
+
 def read_matrix_csv(path) -> np.ndarray:
     """Read a CSV matrix; an optional non-numeric first row is a header."""
-    rows: List[List[float]] = []
-    width = None
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        for lineno, record in enumerate(reader, start=1):
-            if not record or (len(record) == 1 and not record[0].strip()):
-                continue
-            try:
-                values = [float(v) for v in record]
-            except ValueError:
-                if lineno == 1:
-                    continue  # header row
-                raise ParseError(f"{path}:{lineno}: non-numeric row {record!r}")
-            if width is None:
-                width = len(values)
-            elif len(values) != width:
-                raise ParseError(
-                    f"{path}:{lineno}: expected {width} columns, got {len(values)}"
-                )
-            rows.append(values)
-    if not rows:
+    M, _ = read_table(path, delimiter=",", skiprows=int(_has_header(path)))
+    if M.shape[0] == 0:
         raise ParseError(f"{path}: no data rows")
-    return np.array(rows, dtype=float)
+    return M
+
+
+def _has_header(path) -> bool:
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        first = fh.readline()
+    if not first.strip():
+        return False
+    try:
+        [float(v) for v in next(csv.reader([first]))]
+    except ValueError:
+        return True
+    return False
 
 
 def write_matrix_csv(path, M: np.ndarray, header: bool = True) -> None:
@@ -53,26 +167,18 @@ def write_matrix_csv(path, M: np.ndarray, header: bool = True) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         if header:
             fh.write(",".join(f"c{k}" for k in range(M.shape[1])) + "\n")
-        for row in M:
-            fh.write(",".join(format_float(v) for v in row) + "\n")
+        if M.shape[1] == 0:
+            fh.write("\n" * M.shape[0])
+        else:
+            write_rows(fh, ",".join([FLOAT_FMT] * M.shape[1]) + "\n", *M.T)
 
 
 def read_pairs_tsv(path) -> List[Tuple[int, int, float]]:
     """Read 'i<TAB>j<TAB>value' triples (fair distances between pairs)."""
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ParseError(f"{path}:{lineno}: expected 'i<TAB>j<TAB>value'")
-            try:
-                out.append((int(parts[0]), int(parts[1]), float(parts[2])))
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: could not parse {line!r}")
-    return out
+    (i, j, value), _ = read_table(
+        path, (np.int64, np.int64, float), delimiter="\t", comments=True
+    )
+    return list(zip(i.tolist(), j.tolist(), value.tolist()))
 
 
 def read_groups_csv(path):

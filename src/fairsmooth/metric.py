@@ -142,9 +142,9 @@ def pairwise_fair_distances(
 ) -> np.ndarray:
     """All pairwise fair distances between the rows of X.
 
-    Computed in row blocks of ``block_size`` so peak memory stays at
-    O(block * n) beyond the n x n result.  The result has a zero diagonal
-    and is exactly symmetric.
+    Computed in row blocks of ``block_size`` into the n x n result, so
+    peak memory stays at O(block * n) beyond it.  The result has a zero
+    diagonal and is exactly symmetric.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -162,14 +162,24 @@ def pairwise_fair_distances(
         SX = X @ spec.sigma
     # d^2(i, j) = q_i + q_j - 2 x_i^T Sigma x_j
     q = np.einsum("ij,ij->i", X, SX)
-    sq = np.empty((n, n), dtype=float)
+    dist = np.empty((n, n), dtype=float)
     for start in range(0, n, block_size):
         stop = min(start + block_size, n)
         cross = X[start:stop] @ SX.T
-        sq[start:stop] = q[start:stop, None] + q[None, :] - 2.0 * cross
-    np.maximum(sq, 0.0, out=sq)
-    dist = np.sqrt(sq)
-    dist = 0.5 * (dist + dist.T)
+        cross *= 2.0
+        block = dist[start:stop]
+        np.add(q[start:stop, None], q[None, :], out=block)
+        block -= cross
+    np.maximum(dist, 0.0, out=dist)
+    np.sqrt(dist, out=dist)
+    # 0.5 (d + d^T), a row block and its mirrored column block at a time;
+    # neither has been overwritten by an earlier block
+    for start in range(0, n, block_size):
+        stop = min(start + block_size, n)
+        mean = dist[start:stop, start:] + dist[start:, start:stop].T
+        mean *= 0.5
+        dist[start:stop, start:] = mean
+        dist[start:, start:stop] = mean.T
     np.fill_diagonal(dist, 0.0)
     return dist
 

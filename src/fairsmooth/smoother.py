@@ -204,14 +204,16 @@ def inductive_update(
     """One coordinate step for a new point, holding existing outputs fixed.
 
     ``new_weights`` are the similarity weights from the new point to the n
-    existing points; the induced unnormalized-Laplacian row has the weight
-    sum on the diagonal and -w_j off the diagonal.
+    existing points, as a dense vector or a 1 x n scipy sparse row; the
+    induced unnormalized-Laplacian row has the weight sum on the diagonal
+    and -w_j off the diagonal.
     """
     if lam < 0:
         raise InvalidParameter(f"lambda must be >= 0, got {lam}")
-    w = np.asarray(new_weights, dtype=float)
     if sparse.issparse(new_weights):
-        w = np.asarray(new_weights.todense()).ravel()
+        w = new_weights.toarray().astype(float, copy=False).ravel()
+    else:
+        w = np.asarray(new_weights, dtype=float)
     f = np.asarray(f_fixed, dtype=float)
     squeeze = f.ndim == 1
     if squeeze:

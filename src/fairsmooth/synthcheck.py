@@ -105,7 +105,7 @@ def kernel_weights(X: np.ndarray, sigma: float, dispersion: np.ndarray) -> np.nd
     if not sigma > 0:
         raise InvalidParameter(f"sigma must be positive, got {sigma}")
     X = np.asarray(X, dtype=float)
-    n, d = X.shape
+    d = X.shape[1]
     disp = np.asarray(dispersion, dtype=float)
     SX = X @ disp
     q = np.einsum("ij,ij->i", X, SX)
@@ -117,11 +117,10 @@ def kernel_weights(X: np.ndarray, sigma: float, dispersion: np.ndarray) -> np.nd
     W *= -1.0 / (2.0 * sigma**2)
     np.exp(W, out=W)
     W *= np.sqrt(np.linalg.det(disp)) / ((2.0 * np.pi) ** (d / 2.0) * sigma**d)
-    np.fill_diagonal(W, 0.0)
-    # the BLAS product is only symmetric to rounding; mirror the upper
-    # triangle so W_ij == W_ji bit-exactly
-    iu = np.triu_indices(n, k=1)
-    W[(iu[1], iu[0])] = W[iu]
+    # the BLAS product is only symmetric to rounding; mirror the strict
+    # upper triangle so W_ij == W_ji bit-exactly and the diagonal is zero
+    W = np.triu(W, 1)
+    W += W.T
     return W
 
 
@@ -139,13 +138,7 @@ def empirical_un_functional(
     X: np.ndarray, f_values: np.ndarray, sigma: float, dispersion: np.ndarray
 ) -> float:
     """(2 / (n^2 sigma^2)) f^T L_un f with kernel-graph weights."""
-    W = kernel_weights(X, sigma, dispersion)
-    f = np.asarray(f_values, dtype=float)
-    n = W.shape[0]
-    deg = W.sum(axis=1)
-    # f^T (D - W) f == (1/2) sum_{i != j} W_ij (f_i - f_j)^2
-    quad = float(deg @ (f * f) - f @ (W @ f))
-    return 2.0 / (n**2 * sigma**2) * quad
+    return _un_functional(kernel_weights(X, sigma, dispersion), f_values, sigma)
 
 
 def empirical_nrw_functional(
@@ -159,14 +152,29 @@ def empirical_nrw_functional(
     f(x) - (Wf)(x)/d(x) carries a 1/2 from the Gaussian second moment,
     verified here against an independent quadrature oracle.
     """
-    W = kernel_weights(X, sigma, dispersion)
+    return _nrw_functional(kernel_weights(X, sigma, dispersion), f_values, sigma)
+
+
+def _un_functional(W: np.ndarray, f_values: np.ndarray, sigma: float) -> float:
+    """Unnormalized functional of kernel matrix ``W``, which it leaves as is."""
+    f = np.asarray(f_values, dtype=float)
+    n = W.shape[0]
+    deg = W.sum(axis=1)
+    # f^T (D - W) f == (1/2) sum_{i != j} W_ij (f_i - f_j)^2
+    quad = float(deg @ (f * f) - f @ (W @ f))
+    return 2.0 / (n**2 * sigma**2) * quad
+
+
+def _nrw_functional(W: np.ndarray, f_values: np.ndarray, sigma: float) -> float:
+    """Random-walk functional of kernel matrix ``W``, which it scales in place."""
     f = np.asarray(f_values, dtype=float)
     n = W.shape[0]
     deg = W.sum(axis=1)
     inv_sqrt = 1.0 / np.sqrt(deg)
-    Wt = W * inv_sqrt[:, None] * inv_sqrt[None, :]
-    td = Wt.sum(axis=1)
-    Lf = f - (Wt @ f) / td
+    W *= inv_sqrt[:, None]
+    W *= inv_sqrt[None, :]
+    td = W.sum(axis=1)
+    Lf = f - (W @ f) / td
     return 2.0 * float(f @ Lf) / (n * sigma**2)
 
 
@@ -200,8 +208,9 @@ def convergence_report(
 ) -> List[dict]:
     """Empirical functionals vs analytic limits over a grid of sample sizes.
 
-    Returns one row per (kind, n) with mean, std over seeds, and relative
-    error against the analytic limit.
+    Returns one row per (kind, n) with the mean over seeds, their sample
+    standard deviation (ddof=1; ``nan`` for a single seed, where the spread
+    is undefined), and the relative error against the analytic limit.
     """
     n_grid = list(n_grid)
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
@@ -215,14 +224,16 @@ def convergence_report(
         for seed in seeds:
             X = sample_inputs(spec, n, seed)
             f = target_values(spec, X)
-            un_vals.append(empirical_un_functional(X, f, sigma, spec.dispersion))
-            nrw_vals.append(empirical_nrw_functional(X, f, sigma, spec.dispersion))
+            # one kernel for both; the random-walk helper scales it in place
+            W = kernel_weights(X, sigma, spec.dispersion)
+            un_vals.append(_un_functional(W, f, sigma))
+            nrw_vals.append(_nrw_functional(W, f, sigma))
         for kind, vals, limit in (
             ("unnormalized", un_vals, limit_un),
             ("normalized_random_walk", nrw_vals, limit_nrw),
         ):
             mean = float(np.mean(vals))
-            std = float(np.std(vals))
+            std = float(np.std(vals, ddof=1)) if len(vals) > 1 else float("nan")
             rel = abs(mean - limit) / abs(limit) if limit != 0 else abs(mean)
             rows.append(
                 {

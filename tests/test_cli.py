@@ -231,6 +231,24 @@ class TestInductive:
         assert read_matrix_csv(out)[0, 0] == 3.25
 
 
+    @pytest.mark.parametrize("row", ["2\t1.0", "-1\t1.0"])
+    def test_weight_index_outside_range(self, tmp_path, capsys, row):
+        fitted = write_outputs(tmp_path, np.array([[1.0], [2.0]]), "fitted.csv")
+        weights = tmp_path / "weights.tsv"
+        weights.write_text(f"0\t0.5\n{row}\n")
+        code = main(
+            [
+                "smooth-inductive",
+                "--fitted", fitted,
+                "--weights", str(weights),
+                "--yhat-new", "0.0",
+                "--lambda", "1.0",
+            ]
+        )
+        assert code == 1
+        assert "IndexOutOfRange" in capsys.readouterr().err
+
+
 class TestBaseline:
     def test_two_point_projection(self, tmp_path):
         distances = tmp_path / "dist.tsv"

@@ -1,5 +1,10 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairsmooth import (
     FairMetricSpec,
@@ -17,6 +22,8 @@ from fairsmooth.errors import (
     ParseError,
     SelfLoop,
 )
+from fairsmooth.graph import WEIGHT_FLOOR, SimilarityGraph, _make_graph
+from fairsmooth.metric import pairwise_fair_distances
 
 EUCLID = validate_metric(FairMetricSpec("euclidean"))
 
@@ -89,6 +96,24 @@ class TestBuildSimilarityGraph:
         }
         for i, j, w in gp.edges:
             assert relabeled[(i, j)] == pytest.approx(w, abs=1e-12)
+
+    def test_matches_all_pairs_selection(self):
+        # reference: every upper-triangle pair, filtered by tau, then by the floor
+        rng = np.random.default_rng(9)
+        X = rng.normal(size=(40, 3))
+        theta, tau = 0.7, 1.6
+        dist = pairwise_fair_distances(EUCLID, X)
+        iu, ju = np.triu_indices(40, k=1)
+        d = dist[iu, ju]
+        keep = d <= tau
+        iu, ju, d = iu[keep], ju[keep], d[keep]
+        w = np.exp(-theta * d * d)
+        keep = w >= WEIGHT_FLOOR
+        g = build_similarity_graph(X, EUCLID, theta=theta, tau=tau)
+        assert 0 < g.num_edges < 40 * 39 // 2
+        assert np.array_equal(g.rows, iu[keep])
+        assert np.array_equal(g.cols, ju[keep])
+        assert np.array_equal(g.weights, w[keep])
 
     def test_edges_sorted(self):
         rng = np.random.default_rng(7)
@@ -176,3 +201,132 @@ class TestEdgeListIO:
         path.write_text("# n=2\n0\t1\n")
         with pytest.raises(ParseError, match=":2"):
             read_edge_list(path)
+
+    def test_bad_row_after_line_two_reports_its_line(self, tmp_path):
+        path = tmp_path / "edges.tsv"
+        path.write_text("# n=4\n0\t1\t0.5\n\n1\t2\t0.5\n2\tx\t0.5\n")
+        with pytest.raises(ParseError, match=":5:"):
+            read_edge_list(path)
+
+    def test_wrong_column_count_reports_its_line(self, tmp_path):
+        path = tmp_path / "edges.tsv"
+        path.write_text("# n=4\n0\t1\t0.5\n1\t2\t0.5\t7\n")
+        with pytest.raises(ParseError, match=":3:"):
+            read_edge_list(path)
+
+    @pytest.mark.parametrize("edge", ["1\t1\t0.5", "2\t1\t0.5"])
+    def test_i_not_below_j_rejected(self, tmp_path, edge):
+        path = tmp_path / "edges.tsv"
+        path.write_text(f"# n=3\n0\t1\t0.5\n{edge}\n")
+        with pytest.raises(ParseError, match=":3: edges must have i < j"):
+            read_edge_list(path)
+
+    @pytest.mark.parametrize("weight", ["0", "-0.5", "-0"])
+    def test_nonpositive_weight_rejected(self, tmp_path, weight):
+        path = tmp_path / "edges.tsv"
+        path.write_text(f"# n=3\n\n0\t1\t0.5\n1\t2\t{weight}\n")
+        with pytest.raises(ParseError, match=":4: weight must be positive"):
+            read_edge_list(path)
+
+    @pytest.mark.parametrize("edge", ["0\t1.5\t0.5", "0.0\t1\t0.5", "0\t1e0\t0.5"])
+    def test_non_integer_index_rejected(self, tmp_path, edge):
+        path = tmp_path / "edges.tsv"
+        path.write_text(f"# n=3\n{edge}\n")
+        with pytest.raises(ParseError, match=":2"):
+            read_edge_list(path)
+
+    @pytest.mark.parametrize("edge", ["1\t3\t0.5", "-1\t1\t0.5"])
+    def test_index_outside_range_rejected(self, tmp_path, edge):
+        path = tmp_path / "edges.tsv"
+        path.write_text(f"# n=3\n0\t1\t0.5\n{edge}\n")
+        with pytest.raises(IndexOutOfRange):
+            read_edge_list(path)
+
+    def test_malformed_header_reports_its_line(self, tmp_path):
+        path = tmp_path / "edges.tsv"
+        path.write_text("0\t1\t0.5\n# nodes\n")
+        with pytest.raises(ParseError, match=":2: malformed header"):
+            read_edge_list(path)
+
+    def test_every_hash_line_is_a_header(self, tmp_path):
+        path = tmp_path / "edges.tsv"
+        path.write_text("# n=2\n0\t1\t0.5\n  # n=6\n1\t5\t0.25\n")
+        g = read_edge_list(path)
+        assert g.n == 6
+        assert g.edges == [(0, 1, 0.5), (1, 5, 0.25)]
+
+    def test_hash_inside_a_data_line_rejected(self, tmp_path):
+        path = tmp_path / "edges.tsv"
+        path.write_text("# n=3\n0\t1\t0.5\n1\t2\t0.5 # note\n")
+        with pytest.raises(ParseError, match=":3:"):
+            read_edge_list(path)
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "edges.tsv"
+        path.write_text("\n# n=3\n\n0\t1\t0.5\n   \n\r\n1\t2\t0.25\n\n")
+        g = read_edge_list(path)
+        assert g.n == 3
+        assert g.edges == [(0, 1, 0.5), (1, 2, 0.25)]
+
+    def test_header_only_is_empty_graph(self, tmp_path):
+        path = tmp_path / "edges.tsv"
+        path.write_text("# n=4\n")
+        g = read_edge_list(path)
+        assert g.n == 4 and g.num_edges == 0
+        assert g.rows.dtype == np.int64 and g.weights.dtype == float
+
+    def test_one_edge_file(self, tmp_path):
+        path = tmp_path / "edges.tsv"
+        path.write_text("# n=2\n0\t1\t0.75\n")
+        g = read_edge_list(path)
+        assert g.edges == [(0, 1, 0.75)]
+
+    def test_rows_are_sorted_on_read(self, tmp_path):
+        path = tmp_path / "edges.tsv"
+        path.write_text("# n=4\n2\t3\t0.5\n0\t2\t0.25\n0\t1\t0.125\n")
+        g = read_edge_list(path)
+        assert g.edges == [(0, 1, 0.125), (0, 2, 0.25), (2, 3, 0.5)]
+
+
+# positive weights across the double range: subnormals, values either side of
+# WEIGHT_FLOOR, and everything up to 1 as the Gaussian kernel produces
+WEIGHTS = st.one_of(
+    st.floats(min_value=5e-324, max_value=1e-300, allow_subnormal=True),
+    st.floats(min_value=WEIGHT_FLOOR / 4, max_value=WEIGHT_FLOOR * 4),
+    st.sampled_from([WEIGHT_FLOOR, np.nextafter(WEIGHT_FLOOR, 0.0), np.nextafter(WEIGHT_FLOOR, 1.0)]),
+    st.floats(min_value=5e-324, max_value=1.0),
+)
+
+
+@st.composite
+def graphs(draw):
+    n = draw(st.integers(min_value=2, max_value=12))
+    pairs = draw(
+        st.sets(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] < p[1]),
+            max_size=n * (n - 1) // 2,
+        )
+    )
+    weights = draw(st.lists(WEIGHTS, min_size=len(pairs), max_size=len(pairs)))
+    rows = [i for i, _ in sorted(pairs)]
+    cols = [j for _, j in sorted(pairs)]
+    return _make_graph(n, rows, cols, weights)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs())
+def test_edge_list_round_trip_is_exact(g: SimilarityGraph):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "edges.tsv")
+        write_edge_list(g, path)
+        with open(path, "rb") as fh:
+            written = fh.read()
+        back = read_edge_list(path)
+    expected = f"# n={g.n}\n" + "".join(
+        f"{i}\t{j}\t{w:.17g}\n" for i, j, w in zip(g.rows, g.cols, g.weights)
+    )
+    assert written == expected.encode("utf-8")
+    assert back.n == g.n
+    assert np.array_equal(back.rows, g.rows)
+    assert np.array_equal(back.cols, g.cols)
+    assert np.array_equal(back.weights, g.weights)

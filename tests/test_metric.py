@@ -144,6 +144,49 @@ class TestPairwise:
         assert np.max(np.abs(D1 - D2)) < 1e-10
 
 
+def reference_pairwise(spec, X, block_size):
+    # the expression the in-place version replaces: whole-block temporaries,
+    # a fresh array for the root and another for the symmetrization
+    SX = X if spec.sigma is None else X @ spec.sigma
+    q = np.einsum("ij,ij->i", X, SX)
+    n = X.shape[0]
+    sq = np.empty((n, n))
+    for start in range(0, n, block_size):
+        stop = min(start + block_size, n)
+        cross = X[start:stop] @ SX.T
+        sq[start:stop] = q[start:stop, None] + q[None, :] - 2.0 * cross
+    np.maximum(sq, 0.0, out=sq)
+    dist = np.sqrt(sq)
+    dist = 0.5 * (dist + dist.T)
+    np.fill_diagonal(dist, 0.0)
+    return dist
+
+
+class TestPairwiseMatchesReference:
+    @pytest.mark.parametrize("block_size", [1, 7, 1024])
+    @pytest.mark.parametrize("n", [1, 2, 23, 50])
+    def test_rank_deficient_sigma(self, n, block_size):
+        rng = np.random.default_rng(100 + n)
+        B = np.linalg.qr(rng.normal(size=(4, 2)))[0].T
+        spec = validate_metric(FairMetricSpec("projection_complement", basis=B))
+        assert np.linalg.matrix_rank(spec.sigma) == 2
+        X = rng.normal(size=(n, 4))
+        D = pairwise_fair_distances(spec, X, block_size=block_size)
+        assert np.array_equal(D, reference_pairwise(spec, X, block_size))
+        assert np.array_equal(D, D.T)
+
+    @pytest.mark.parametrize("block_size", [1, 7, 1024])
+    def test_euclidean_and_full_rank(self, block_size):
+        rng = np.random.default_rng(7)
+        X = rng.normal(size=(30, 3))
+        A = rng.normal(size=(3, 3))
+        for spec in (validate_metric(FairMetricSpec("euclidean")), mahalanobis(A.T @ A)):
+            D = pairwise_fair_distances(spec, X, block_size=block_size)
+            assert np.array_equal(D, reference_pairwise(spec, X, block_size))
+            assert np.array_equal(D, D.T)
+            assert np.all(np.diag(D) == 0.0)
+
+
 class TestJsonSpec:
     def test_roundtrip_mahalanobis(self):
         spec = metric_spec_from_json({"kind": "mahalanobis", "sigma": [[1, 0], [0, 2]]})

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from fairsmooth import (
     FairMetricSpec,
@@ -166,6 +167,20 @@ class TestInductive:
         out = inductive_update(f, w, np.array([0.0, 0.0]), lam=1.0)
         # (0 + 1*(1, 1)) / (1 + 2) = (1/3, 1/3)
         assert np.allclose(out, [1.0 / 3.0, 1.0 / 3.0])
+
+
+    def test_sparse_rows_match_dense(self):
+        rng = np.random.default_rng(31)
+        f = rng.normal(size=(40, 2))
+        w = np.where(rng.uniform(size=40) < 0.3, rng.uniform(size=40), 0.0)
+        dense = inductive_update(f, w, np.array([0.2, -0.1]), lam=0.7)
+        for fmt in (sparse.csr_matrix, sparse.csc_matrix):
+            row = fmt(w[None, :])
+            assert row.shape == (1, 40)
+            got = inductive_update(f, row, np.array([0.2, -0.1]), lam=0.7)
+            assert np.array_equal(got, dense)
+        scalar = inductive_update(f[:, 0], sparse.csr_matrix(w[None, :]), 0.2, lam=0.7)
+        assert scalar == inductive_update(f[:, 0], w, 0.2, lam=0.7)
 
 
 class TestNaturalParams:

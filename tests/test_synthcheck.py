@@ -230,6 +230,29 @@ class TestConvergenceReport:
             assert r["sigma"] == pytest.approx(r["n"] ** (-1.0 / 6.0))
             assert r["analytic"] == pytest.approx(np.pi**2 / 2)
 
+    def test_means_equal_public_functionals(self):
+        spec = SyntheticSpec(dimension=2, target_function="cosine_sum", sigma_exponent=0.15)
+        seeds = [3, 4, 5]
+        rows = convergence_report(spec, [60, 90], seeds=seeds)
+        for r in rows:
+            fn = empirical_un_functional if r["kind"] == "unnormalized" else empirical_nrw_functional
+            vals = []
+            for seed in seeds:
+                X = sample_inputs(spec, r["n"], seed)
+                vals.append(fn(X, target_values(spec, X), r["sigma"], spec.dispersion))
+            assert r["empirical_mean"] == float(np.mean(vals))
+            assert r["empirical_std"] == float(np.std(vals, ddof=1))
+
+    def test_single_seed_spread_is_nan(self):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = convergence_report(SyntheticSpec(), [40, 80], seeds=[0])
+        assert len(rows) == 4
+        assert all(np.isnan(r["empirical_std"]) for r in rows)
+        assert all(np.isfinite(r["empirical_mean"]) for r in rows)
+
     def test_non_increasing_grid_rejected(self):
         with pytest.raises(InvalidParameter):
             convergence_report(SyntheticSpec(), [100, 100], seeds=[0, 1, 2])
