@@ -50,9 +50,12 @@ def read_table(
     with warnings.catch_warnings():
         # a file without data rows is an empty table; callers decide if that is an error
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        # numpy 1.23 to 1.26 parse '1.5' into an integer column as 1, with only
+        # this warning; make it an error so every numpy rejects the line
+        warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
         try:
             table = np.loadtxt(path, skiprows=skiprows, **options)
-        except ValueError as exc:
+        except (ValueError, DeprecationWarning) as exc:
             bad = _first_bad_line(path, dtypes, delimiter, comments, skiprows)
             if bad is not None:
                 raise ParseError(bad) from None
@@ -62,7 +65,7 @@ def read_table(
                 table = np.loadtxt(
                     (text for _, text in _data_lines(path, comments, skiprows)), **options
                 )
-            except ValueError:
+            except (ValueError, DeprecationWarning):
                 raise ParseError(f"{path}: {exc}") from None
     if structured:
         return [table[name] for name in dtype.names], notes

@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from fairsmooth import io
+from fairsmooth import io, read_edge_list
 from fairsmooth.cli import _read_weight_rows
 from fairsmooth.errors import ParseError
 from fairsmooth.io import read_matrix_csv, read_pairs_tsv, read_table, write_matrix_csv
@@ -41,6 +43,41 @@ class TestReadPairsTsv:
         path.write_text("0\t1\t0.5\n1.5\t2\t0.5\n")
         with pytest.raises(ParseError, match=":2: could not parse"):
             read_pairs_tsv(path)
+
+
+def _loadtxt_with_float_fallback(real):
+    """np.loadtxt as numpy 1.23 to 1.26 have it: an integer field that only
+    parses as a float is truncated, with a DeprecationWarning."""
+
+    def loadtxt(fname, dtype=float, **options):
+        names = getattr(np.dtype(dtype), "names", None)
+        if not names:
+            return real(fname, dtype=dtype, **options)
+        table = real(fname, dtype=[(name, float) for name in names], **options)
+        ints = [name for name in names if np.issubdtype(np.dtype(dtype)[name], np.integer)]
+        if any(np.any(table[name] != np.trunc(table[name])) for name in ints):
+            warnings.warn(
+                "loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning
+            )
+        return table.astype(dtype)
+
+    return loadtxt
+
+
+@pytest.mark.parametrize(
+    "read, text",
+    [
+        (read_pairs_tsv, "0\t1\t0.5\n0\t1.5\t0.5\n"),
+        (read_edge_list, "# n=3\n0\t1.5\t0.5\n0\t2\t0.5\n"),
+        (_read_weight_rows, "0\t0.5\n1.5\t0.5\n"),
+    ],
+)
+def test_non_integer_index_rejected_where_numpy_only_warns(tmp_path, monkeypatch, read, text):
+    path = tmp_path / "table.tsv"
+    path.write_text(text)
+    monkeypatch.setattr(np, "loadtxt", _loadtxt_with_float_fallback(np.loadtxt))
+    with pytest.raises(ParseError, match=":2: could not parse"):
+        read(path)
 
 
 class TestReadMatrixCsv:
