@@ -9,6 +9,7 @@ reported as one machine-parsable line on standard error.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -48,14 +49,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p_smooth.add_argument("--outputs", required=True, help="CSV of model outputs")
     p_smooth.add_argument("--config", help="JSON smoothing config")
     p_smooth.add_argument("--lambda", dest="lam", type=float)
-    p_smooth.add_argument("--laplacian", choices=["unnormalized", "normalized_random_walk"])
+    p_smooth.add_argument(
+        "--laplacian", dest="laplacian_kind", choices=["unnormalized", "normalized_random_walk"]
+    )
     p_smooth.add_argument("--mode", choices=["closed_form", "coordinate_descent"])
     p_smooth.add_argument("--epochs", type=int)
     p_smooth.add_argument("--batch-size", type=int)
     p_smooth.add_argument("--seed", type=int)
     p_smooth.add_argument("--discrepancy", choices=["squared", "kl"])
     p_smooth.add_argument("--tolerance", type=float)
-    p_smooth.add_argument("--no-nrw-lambda-scaling", action="store_true")
+    p_smooth.add_argument(
+        "--no-nrw-lambda-scaling", dest="nrw_lambda_scaling", action="store_const", const=False
+    )
     p_smooth.add_argument("--out", required=True, help="output CSV for smoothed values")
     p_smooth.add_argument("--metadata-out", help="JSON metadata record")
     p_smooth.set_defaults(func=cmd_smooth)
@@ -140,48 +145,24 @@ def cmd_graph_build(args) -> None:
     graph.write_edge_list(g, args.out)
 
 
-_CONFIG_FLAGS = {
-    "lam": "lambda",
-    "laplacian": "laplacian_kind",
-    "mode": "mode",
-    "epochs": "epochs",
-    "batch_size": "batch_size",
-    "seed": "seed",
-    "discrepancy": "discrepancy",
-    "tolerance": "tolerance",
-}
-
-
 def _smoothing_config(args) -> smoother.SmoothingConfig:
-    fields = {}
+    names = [f.name for f in dataclasses.fields(smoother.SmoothingConfig)]
+    values = {}
     if args.config:
         raw = io.read_json(args.config)
-        known = {
-            "lambda": "lam",
-            "laplacian_kind": "laplacian_kind",
-            "mode": "mode",
-            "epochs": "epochs",
-            "batch_size": "batch_size",
-            "seed": "seed",
-            "discrepancy": "discrepancy",
-            "nrw_lambda_scaling": "nrw_lambda_scaling",
-            "tolerance": "tolerance",
-            "dense_limit": "dense_limit",
-        }
+        if not isinstance(raw, dict):
+            raise ParseError(f"{args.config}: config must be a JSON object")
+        keys = {"lambda" if name == "lam" else name: name for name in names}
         for key, value in raw.items():
-            if key not in known:
+            if key not in keys:
                 raise ParseError(f"{args.config}: unknown config field {key!r}")
-            fields[known[key]] = value
+            values[keys[key]] = value
     # CLI flags override config-file fields
-    for attr, _ in _CONFIG_FLAGS.items():
-        value = getattr(args, attr, None)
+    for name in names:
+        value = getattr(args, name, None)
         if value is not None:
-            dest = "lam" if attr == "lam" else attr
-            dest = "laplacian_kind" if attr == "laplacian" else dest
-            fields[dest] = value
-    if args.no_nrw_lambda_scaling:
-        fields["nrw_lambda_scaling"] = False
-    return smoother.SmoothingConfig(**fields).validate()
+            values[name] = value
+    return smoother.SmoothingConfig(**values).validate()
 
 
 def cmd_smooth(args) -> None:

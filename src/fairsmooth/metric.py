@@ -78,6 +78,8 @@ def validate_metric(spec: FairMetricSpec) -> FairMetricSpec:
         sigma = np.asarray(spec.sigma, dtype=float)
         if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
             raise InvalidParameter(f"sigma must be square, got {sigma.shape}")
+        if not np.all(np.isfinite(sigma)):
+            raise InvalidParameter("sigma has non-finite entries")
         asym = np.max(np.abs(sigma - sigma.T)) if sigma.size else 0.0
         if asym > SYMMETRY_TOL:
             raise NonSymmetric(
@@ -100,6 +102,8 @@ def validate_metric(spec: FairMetricSpec) -> FairMetricSpec:
     basis = np.asarray(spec.basis, dtype=float)
     if basis.ndim != 2:
         raise InvalidParameter(f"basis must be 2-d, got shape {basis.shape}")
+    if not np.all(np.isfinite(basis)):
+        raise InvalidParameter("basis has non-finite entries")
     gram = basis @ basis.T
     dev = np.max(np.abs(gram - np.eye(basis.shape[0])))
     if dev > ORTHONORMAL_TOL:
@@ -205,6 +209,10 @@ def metric_spec_from_json(obj: dict) -> FairMetricSpec:
         raise InvalidParameter(
             f"metric kind {kind!r} requires fields {sorted(required)}, got {sorted(fields)}"
         )
-    sigma = np.asarray(obj["sigma"], dtype=float) if "sigma" in obj else None
-    basis = np.asarray(obj["basis"], dtype=float) if "basis" in obj else None
-    return validate_metric(FairMetricSpec(kind=kind, sigma=sigma, basis=basis))
+    arrays = {}
+    for name in required:
+        try:
+            arrays[name] = np.asarray(obj[name], dtype=float)
+        except (TypeError, ValueError):
+            raise InvalidParameter(f"metric field {name!r} must be a numeric array")
+    return validate_metric(FairMetricSpec(kind=kind, **arrays))

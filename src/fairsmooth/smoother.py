@@ -18,7 +18,8 @@ lambda of :func:`smooth_kl` plays exactly the same role as in the squared
 mode.
 """
 
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from scipy import linalg as sla
@@ -51,9 +52,24 @@ SIMPLEX_TOL = 1e-6
 DEFAULT_DENSE_LIMIT = 10_000
 
 
+# config fields declared int or float accept any integral or real number
+# (numpy scalars included), never a bool
+_NUMBER_TYPES = {int: numbers.Integral, float: numbers.Real}
+
+
+def _check_lambda(lam) -> None:
+    if not 0 <= lam < np.inf:
+        raise InvalidParameter(f"lambda must be finite and >= 0, got {lam}")
+
+
 @dataclass(frozen=True)
 class SmoothingConfig:
-    """Parameters of a smoothing run; mirrors the JSON config file."""
+    """Parameters of a smoothing run; mirrors the JSON config file.
+
+    The JSON keys are the field names, with ``lambda`` for ``lam``.
+    ``batch_size`` is accepted and must be >= 1, but the coordinate-descent
+    sweep is sequential, so it does not change the result.
+    """
 
     lam: float = 1.0
     laplacian_kind: str = UNNORMALIZED
@@ -67,8 +83,15 @@ class SmoothingConfig:
     dense_limit: int = DEFAULT_DENSE_LIMIT
 
     def validate(self) -> "SmoothingConfig":
-        if self.lam < 0:
-            raise InvalidParameter(f"lambda must be >= 0, got {self.lam}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) != (f.type is bool) or not isinstance(
+                value, _NUMBER_TYPES.get(f.type, f.type)
+            ):
+                raise InvalidParameter(
+                    f"{f.name} must be of type {f.type.__name__}, got {value!r}"
+                )
+        _check_lambda(self.lam)
         if self.laplacian_kind not in (UNNORMALIZED, NORMALIZED_RW):
             raise InvalidParameter(f"unknown laplacian kind {self.laplacian_kind!r}")
         if self.mode not in ("closed_form", "coordinate_descent"):
@@ -112,8 +135,7 @@ def smooth_closed_form(yhat: np.ndarray, L: LaplacianOperator, lam: float) -> np
     NotPositiveDefinite if I + lambda * sym(L) fails to factorize (possible
     for the symmetrized random-walk kind on pathological graphs).
     """
-    if lam < 0:
-        raise InvalidParameter(f"lambda must be >= 0, got {lam}")
+    _check_lambda(lam)
     y = _as_outputs(yhat, L.n)
     squeeze = np.asarray(yhat).ndim == 1
     if lam == 0.0:
@@ -133,7 +155,6 @@ def _cd_sweeps(
     S: sparse.csr_matrix,
     lam: float,
     epochs: int,
-    batch_size: int,
     seed: int,
     tolerance: float,
 ):
@@ -152,17 +173,15 @@ def _cd_sweeps(
     for epoch in range(epochs):
         perm = rng.permutation(n)
         max_change = 0.0
-        # batches structure the sweep; updates stay sequential within each
-        for start in range(0, n, batch_size):
-            for i in perm[start : start + batch_size]:
-                lo, hi = indptr[i], indptr[i + 1]
-                cols = indices[lo:hi]
-                row = data[lo:hi] @ f[cols] - diag[i] * f[i]
-                new = (y[i] - lam * row) / denom[i]
-                change = np.max(np.abs(new - f[i]))
-                if change > max_change:
-                    max_change = change
-                f[i] = new
+        for i in perm:
+            lo, hi = indptr[i], indptr[i + 1]
+            cols = indices[lo:hi]
+            row = data[lo:hi] @ f[cols] - diag[i] * f[i]
+            new = (y[i] - lam * row) / denom[i]
+            change = np.max(np.abs(new - f[i]))
+            if change > max_change:
+                max_change = change
+            f[i] = new
         epochs_used = epoch + 1
         last_change = max_change
         if max_change < tolerance:
@@ -187,7 +206,7 @@ def smooth_coordinate_descent(
     squeeze = np.asarray(yhat).ndim == 1
     S = L.symmetrized()
     f, epochs_used, last_change = _cd_sweeps(
-        y, S, config.lam, config.epochs, config.batch_size, config.seed, config.tolerance
+        y, S, config.lam, config.epochs, config.seed, config.tolerance
     )
     out = f[:, 0] if squeeze else f
     if return_info:
@@ -208,8 +227,7 @@ def inductive_update(
     induced unnormalized-Laplacian row has the weight sum on the diagonal
     and -w_j off the diagonal.
     """
-    if lam < 0:
-        raise InvalidParameter(f"lambda must be >= 0, got {lam}")
+    _check_lambda(lam)
     if sparse.issparse(new_weights):
         w = new_weights.toarray().astype(float, copy=False).ravel()
     else:
@@ -288,10 +306,8 @@ def smooth_kl(yhat_probs: np.ndarray, L_un: LaplacianOperator, lam: float) -> np
     """
     if L_un.kind != UNNORMALIZED:
         raise InvalidParameter("kl smoothing requires the unnormalized laplacian")
-    probs = _as_prob_rows(np.asarray(yhat_probs, dtype=float))
-    eta = to_natural_params(probs)
-    eta_s = smooth_closed_form(eta, L_un, lam)
-    return from_natural_params(eta_s)
+    eta = to_natural_params(np.atleast_2d(yhat_probs))
+    return from_natural_params(smooth_closed_form(eta, L_un, lam))
 
 
 def kl_coordinate_update(
@@ -306,6 +322,7 @@ def kl_coordinate_update(
     over the simplex.  In natural parameters this is a weighted mean, then
     mapped back through the softmax.
     """
+    _check_lambda(lam)
     eta_hat = to_natural_params(np.asarray(p_target, dtype=float))
     etas = to_natural_params(np.asarray(neighbor_probs, dtype=float))
     w = np.asarray(weights, dtype=float)
@@ -325,7 +342,8 @@ def run_smoothing(yhat: np.ndarray, g: SimilarityGraph, config: SmoothingConfig)
 
     Returns (outputs, metadata).  For the normalized random-walk kind the
     user lambda is multiplied by the average graph degree (recorded in the
-    metadata as ``effective_lambda``).  If the closed-form factorization
+    metadata as ``effective_lambda``).  The kl discrepancy runs the same
+    quadratic solve on natural parameters.  If the closed-form factorization
     fails, the solver falls back to coordinate descent and notes it.
     """
     config = config.validate()
@@ -341,36 +359,14 @@ def run_smoothing(yhat: np.ndarray, g: SimilarityGraph, config: SmoothingConfig)
         "effective_lambda": lam,
         "fallback_to_cd": False,
     }
-    effective = SmoothingConfig(
-        lam=lam,
-        laplacian_kind=config.laplacian_kind,
-        mode=config.mode,
-        epochs=config.epochs,
-        batch_size=config.batch_size,
-        seed=config.seed,
-        discrepancy=config.discrepancy,
-        nrw_lambda_scaling=False,
-        tolerance=config.tolerance,
-        dense_limit=config.dense_limit,
-    )
-
-    if config.discrepancy == "kl":
-        probs = _as_prob_rows(np.asarray(yhat, dtype=float))
-        eta = to_natural_params(probs)
-        eta_s, meta = _solve_squared(eta, L, effective, meta)
-        out = from_natural_params(eta_s)
-        meta["residual"] = float(
-            np.max(np.abs(eta_s - eta + lam * apply_symmetrized(L, eta_s)))
-        )
-        return out, meta
-
-    y = _as_outputs(yhat, L.n)
-    f, meta = _solve_squared(y, L, effective, meta)
+    kl = config.discrepancy == "kl"
+    y = to_natural_params(np.atleast_2d(yhat)) if kl else _as_outputs(yhat, L.n)
+    f, meta = _solve(y, L, replace(config, lam=lam, nrw_lambda_scaling=False), meta)
     meta["residual"] = float(np.max(np.abs(f - y + lam * apply_symmetrized(L, f))))
-    return f, meta
+    return (from_natural_params(f) if kl else f), meta
 
 
-def _solve_squared(y, L, config, meta):
+def _solve(y, L, config, meta):
     mode = config.mode
     if mode == "closed_form" and L.n > config.dense_limit:
         mode = "coordinate_descent"

@@ -1,10 +1,14 @@
+import argparse
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from fairsmooth.cli import main
+from fairsmooth import smoother
+from fairsmooth.cli import _build_parser, main
 from fairsmooth.io import read_matrix_csv, write_matrix_csv
+from fairsmooth.smoother import SmoothingConfig
 
 
 def write_metric(tmp_path, spec=None):
@@ -23,6 +27,14 @@ def write_outputs(tmp_path, y, name="outputs.csv"):
     path = tmp_path / name
     write_matrix_csv(path, np.asarray(y, dtype=float))
     return str(path)
+
+
+def assert_one_error_line(capsys, kind):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: {kind}: ")
 
 
 def build_graph(tmp_path, X, tau="inf", theta="0.5"):
@@ -73,6 +85,20 @@ class TestGraphBuild:
         )
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_non_numeric_metric_basis_exit_code_1(self, tmp_path, capsys):
+        metric = write_metric(tmp_path, {"kind": "projection_complement", "basis": "x"})
+        code = main(
+            [
+                "graph", "build",
+                "--embeddings", write_embeddings(tmp_path, np.zeros((2, 2))),
+                "--metric", metric,
+                "--tau", "1.0",
+                "--out", str(tmp_path / "g.tsv"),
+            ]
+        )
+        assert code == 1
+        assert_one_error_line(capsys, "InvalidParameter")
 
 
 class TestSmooth:
@@ -195,7 +221,151 @@ class TestSmooth:
         assert "RowCountMismatch" in capsys.readouterr().err
 
 
+# a value other than the default for every SmoothingConfig field
+NON_DEFAULT = {
+    "lam": 0.25,
+    "laplacian_kind": "normalized_random_walk",
+    "mode": "coordinate_descent",
+    "epochs": 7,
+    "batch_size": 3,
+    "seed": 5,
+    "discrepancy": "kl",
+    "nrw_lambda_scaling": False,
+    "tolerance": 1e-6,
+    "dense_limit": 50,
+}
+
+# (flag arguments, field, value): each flag set against a config file
+# holding NON_DEFAULT[field] (True for nrw_lambda_scaling)
+FLAG_OVERRIDES = [
+    (["--lambda", "0.5"], "lam", 0.5),
+    (["--laplacian", "unnormalized"], "laplacian_kind", "unnormalized"),
+    (["--mode", "closed_form"], "mode", "closed_form"),
+    (["--epochs", "9"], "epochs", 9),
+    (["--batch-size", "4"], "batch_size", 4),
+    (["--seed", "6"], "seed", 6),
+    (["--discrepancy", "squared"], "discrepancy", "squared"),
+    (["--tolerance", "1e-7"], "tolerance", 1e-7),
+    (["--no-nrw-lambda-scaling"], "nrw_lambda_scaling", False),
+]
+
+
+NO_CONFIG = object()
+
+
+def json_key(name):
+    return "lambda" if name == "lam" else name
+
+
+class TestSmoothConfig:
+    @pytest.fixture
+    def run(self, tmp_path, monkeypatch):
+        """Run ``smooth`` on a 3-node path; returns (exit code, config used)."""
+        graph = tmp_path / "graph.tsv"
+        graph.write_text("# n=3\n0\t1\t1\n1\t2\t1\n")
+        outputs = write_outputs(tmp_path, [[0.5, 0.5], [0.25, 0.75], [0.5, 0.5]])
+        seen = []
+
+        def fake_run_smoothing(y, g, config):
+            seen.append(config)
+            return y, {}
+
+        monkeypatch.setattr(smoother, "run_smoothing", fake_run_smoothing)
+
+        def call(config=NO_CONFIG, flags=()):
+            argv = ["smooth", "--graph", str(graph), "--outputs", outputs,
+                    "--out", str(tmp_path / "f.csv")]
+            if config is not NO_CONFIG:
+                path = tmp_path / "config.json"
+                path.write_text(json.dumps(config))
+                argv += ["--config", str(path)]
+            code = main(argv + list(flags))
+            return code, (seen.pop() if seen else None)
+
+        return call
+
+    def test_table_covers_every_field(self):
+        names = {f.name for f in dataclasses.fields(SmoothingConfig)}
+        assert set(NON_DEFAULT) == names
+        for name, value in NON_DEFAULT.items():
+            assert getattr(SmoothingConfig(), name) != value
+
+    @pytest.mark.parametrize("name", sorted(NON_DEFAULT))
+    def test_every_field_set_from_config_file(self, run, name):
+        code, config = run({json_key(name): NON_DEFAULT[name]})
+        assert code == 0
+        assert config == SmoothingConfig(**{name: NON_DEFAULT[name]})
+
+    @pytest.mark.parametrize("flags,name,value", FLAG_OVERRIDES)
+    def test_flag_overrides_config_file(self, run, flags, name, value):
+        in_file = True if name == "nrw_lambda_scaling" else NON_DEFAULT[name]
+        code, config = run({json_key(name): in_file}, flags)
+        assert code == 0
+        assert config == SmoothingConfig(**{name: value})
+
+    @pytest.mark.parametrize("key", ["lam", "laplacian", "no_such_field"])
+    def test_unknown_key_rejected(self, run, capsys, key):
+        code, config = run({key: 1.0})
+        assert code == 1 and config is None
+        assert_one_error_line(capsys, "ParseError")
+
+    @pytest.mark.parametrize("raw", [[1.0], "lambda", 1.0, None])
+    def test_non_object_config_rejected(self, run, capsys, raw):
+        code, config = run(raw)
+        assert code == 1 and config is None
+        assert_one_error_line(capsys, "ParseError")
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            {"lambda": "1.0"},
+            {"lambda": True},
+            {"epochs": "3"},
+            {"tolerance": None},
+            {"dense_limit": "x"},
+            {"mode": "coordinate_descent", "seed": 1.5},
+        ],
+    )
+    def test_wrongly_typed_value_rejected(self, run, capsys, raw):
+        code, config = run(raw)
+        assert code == 1 and config is None
+        assert_one_error_line(capsys, "InvalidParameter")
+
+    @pytest.mark.parametrize("lam", ["nan", "inf"])
+    def test_non_finite_lambda_rejected(self, run, capsys, lam):
+        code, config = run(flags=["--lambda", lam])
+        assert code == 1 and config is None
+        assert_one_error_line(capsys, "InvalidParameter")
+
+    def test_every_smooth_option_is_a_config_field(self):
+        parser = _build_parser()
+        (subparsers,) = [
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        files = {"help", "graph", "outputs", "config", "out", "metadata_out"}
+        dests = {a.dest for a in subparsers.choices["smooth"]._actions} - files
+        assert dests <= {f.name for f in dataclasses.fields(SmoothingConfig)}
+        assert dests == {name for _, name, _ in FLAG_OVERRIDES}
+
+
 class TestInductive:
+    @pytest.mark.parametrize("lam", ["nan", "inf"])
+    def test_non_finite_lambda_rejected(self, tmp_path, capsys, lam):
+        fitted = write_outputs(tmp_path, np.array([[1.0]]), "fitted.csv")
+        weights = tmp_path / "weights.tsv"
+        weights.write_text("0\t1.0\n")
+        code = main(
+            [
+                "smooth-inductive",
+                "--fitted", fitted,
+                "--weights", str(weights),
+                "--yhat-new", "0.0",
+                "--lambda", lam,
+            ]
+        )
+        assert code == 1
+        assert_one_error_line(capsys, "InvalidParameter")
+
     def test_two_word_subcommand(self, tmp_path, capsys):
         fitted = write_outputs(tmp_path, np.array([[1.0]]), "fitted.csv")
         weights = tmp_path / "weights.tsv"

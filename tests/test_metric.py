@@ -200,3 +200,29 @@ class TestJsonSpec:
     def test_missing_field_rejected(self):
         with pytest.raises(InvalidParameter):
             metric_spec_from_json({"kind": "mahalanobis"})
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"kind": "projection_complement", "basis": "x"},
+            {"kind": "projection_complement", "basis": [[1.0, 0.0], [0.0]]},
+            {"kind": "mahalanobis", "sigma": "x"},
+            {"kind": "mahalanobis", "sigma": {"a": 1}},
+        ],
+    )
+    def test_non_numeric_array_rejected(self, obj):
+        with pytest.raises(InvalidParameter, match="numeric array"):
+            metric_spec_from_json(obj)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"kind": "mahalanobis", "sigma": [[float("nan")]]},
+            {"kind": "mahalanobis", "sigma": [[1.0, 0.0], [0.0, float("inf")]]},
+            {"kind": "projection_complement", "basis": [[float("nan"), 0.0]]},
+        ],
+    )
+    def test_non_finite_entries_rejected(self, obj):
+        # a nan sigma used to pass validation and yield a graph with no edges
+        with pytest.raises(InvalidParameter, match="non-finite"):
+            metric_spec_from_json(obj)

@@ -148,6 +148,63 @@ class TestCoordinateDescent:
         assert np.array_equal(outs[0], outs[2])
 
 
+NON_FINITE = [np.nan, np.inf]
+
+
+class TestLambdaMustBeFinite:
+    @pytest.mark.parametrize("lam", NON_FINITE)
+    def test_config_validate(self, lam):
+        with pytest.raises(InvalidParameter, match="lambda must be finite"):
+            SmoothingConfig(lam=lam).validate()
+
+    @pytest.mark.parametrize("lam", NON_FINITE)
+    def test_closed_form(self, lam):
+        with pytest.raises(InvalidParameter, match="lambda must be finite"):
+            smooth_closed_form(np.array([0.0, 1.0]), PATH2, lam)
+
+    @pytest.mark.parametrize("lam", NON_FINITE)
+    def test_inductive_update(self, lam):
+        with pytest.raises(InvalidParameter, match="lambda must be finite"):
+            inductive_update(np.array([1.0]), np.array([1.0]), 0.0, lam=lam)
+
+    @pytest.mark.parametrize("lam", NON_FINITE + [-1.0])
+    def test_kl_coordinate_update(self, lam):
+        p = np.array([0.6, 0.3, 0.1])
+        with pytest.raises(InvalidParameter, match="lambda must be finite"):
+            kl_coordinate_update(p, np.array([[0.2, 0.3, 0.5]]), np.array([1.0]), lam)
+
+
+class TestConfigTypes:
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"lam": "1.0"},
+            {"lam": True},
+            {"epochs": "3"},
+            {"epochs": 3.0},
+            {"seed": 1.5},
+            {"batch_size": False},
+            {"tolerance": None},
+            {"dense_limit": "x"},
+            {"mode": 1},
+            {"nrw_lambda_scaling": 0},
+        ],
+    )
+    def test_wrong_type_rejected(self, fields):
+        name = next(iter(fields))
+        with pytest.raises(InvalidParameter, match=f"^{name} must be of type"):
+            SmoothingConfig(**fields).validate()
+
+    def test_numpy_scalars_accepted(self):
+        config = SmoothingConfig(
+            lam=np.float64(0.5), epochs=np.int64(3), tolerance=np.float32(1e-6), seed=np.int32(1)
+        )
+        assert config.validate() is config
+
+    def test_integer_lambda_accepted(self):
+        assert SmoothingConfig(lam=2).validate().lam == 2
+
+
 class TestInductive:
     def test_isolated_new_point(self):
         out = inductive_update(np.array([1.0, 2.0]), np.zeros(2), 3.0, lam=1.0)
@@ -247,6 +304,12 @@ class TestKLSmoothing:
         out = smooth_kl(p, L, 2.0)
         assert np.allclose(out.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(out >= 0)
+
+    def test_one_row_input_returns_one_row(self):
+        L = unnormalized_laplacian(graph_from_annotations([], n=1))
+        out = smooth_kl(np.array([0.2, 0.8]), L, 1.0)
+        assert out.shape == (1, 2)
+        assert np.allclose(out, [[0.2, 0.8]], atol=1e-12)
 
     def test_requires_unnormalized(self):
         g = graph_from_annotations([(0, 1)], n=2)
@@ -388,6 +451,15 @@ class TestRunSmoothing:
         g = build_similarity_graph(X, EUCLID, theta=0.5, tau=np.inf)
         config = SmoothingConfig(lam=1.0)
         _, meta = run_smoothing(rng.normal(size=15), g, config)
+        assert meta["residual"] < 1e-8
+
+    def test_kl_matches_smooth_kl(self):
+        rng = np.random.default_rng(36)
+        X = rng.normal(size=(12, 2))
+        g = build_similarity_graph(X, EUCLID, theta=0.5, tau=np.inf)
+        p = rng.dirichlet(np.ones(3), size=12)
+        out, meta = run_smoothing(p, g, SmoothingConfig(lam=1.5, discrepancy="kl"))
+        assert np.array_equal(out, smooth_kl(p, make_laplacian(g, UNNORMALIZED), 1.5))
         assert meta["residual"] < 1e-8
 
     def test_kl_discrepancy_config_validation(self):
