@@ -227,7 +227,10 @@ def cmd_eval(args) -> None:
     if args.distances:
         if args.lipschitz is None:
             raise ValidationError("--distances requires --lipschitz")
-        pairs = io.read_pairs_tsv(args.distances)
+        columns, _ = io.read_table(
+            args.distances, (np.int64, np.int64, float), delimiter="\t", comments=True
+        )
+        pairs = np.column_stack(columns)
         report.violation_histogram = evalmetrics.violation_histogram(
             outputs, pairs, args.lipschitz, num_bins=args.bins
         )

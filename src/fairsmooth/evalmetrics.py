@@ -43,10 +43,12 @@ class GroupedPredictions:
         is_original = np.asarray(self.is_original, dtype=bool)
         if not (len(group_of) == len(is_original) == outputs.shape[0]):
             raise InvalidParameter("outputs, group_of, is_original must have equal length")
-        for gid in np.unique(group_of):
-            originals = int(np.sum(is_original[group_of == gid]))
-            if originals != 1:
-                raise EmptyGroup(f"group {gid!r} has {originals} originals, expected 1")
+        gids, which = np.unique(group_of, return_inverse=True)
+        originals = np.bincount(which[is_original], minlength=len(gids))
+        bad = np.flatnonzero(originals != 1)
+        if bad.size:
+            gid, count = gids[bad[0]], int(originals[bad[0]])
+            raise EmptyGroup(f"group {gid!r} has {count} originals, expected 1")
         object.__setattr__(self, "outputs", outputs)
         object.__setattr__(self, "group_of", group_of)
         object.__setattr__(self, "is_original", is_original)
@@ -89,14 +91,11 @@ def prediction_consistency(
 ) -> float:
     """Fraction of groups whose every member matches the original's class."""
     preds = predicted_classes(g.outputs, threshold)
-    consistent = 0
-    gids = np.unique(g.group_of)
-    for gid in gids:
-        mask = g.group_of == gid
-        original_pred = preds[mask & g.is_original][0]
-        if np.all(preds[mask] == original_pred):
-            consistent += 1
-    return consistent / len(gids)
+    gids, which = np.unique(g.group_of, return_inverse=True)
+    original_pred = np.empty(len(gids), dtype=preds.dtype)
+    original_pred[which[g.is_original]] = preds[g.is_original]
+    mismatched = np.bincount(which, weights=preds != original_pred[which], minlength=len(gids))
+    return int(np.count_nonzero(mismatched == 0)) / len(gids)
 
 
 def output_std(outputs: np.ndarray, subset: Sequence[int], column: int = 0) -> float:
@@ -158,28 +157,27 @@ def balanced_accuracy(
 
 def violation_histogram(
     f: np.ndarray,
-    distances: Sequence[Tuple[int, int, float]],
+    distances,
     lipschitz: float,
     num_bins: int = 10,
 ) -> List[Tuple[float, float, int, int]]:
     """Bin constrained pairs by fair distance; count violations per bin.
 
-    Bins are equal-width over [0, max distance], right-open except the
-    last.  A pair violates when ||f_i - f_j||_2 > lipschitz * d.
+    ``distances`` holds (i, j, d) triples, as a sequence or an (m, 3)
+    array.  Bins are equal-width over [0, max distance], right-open except
+    the last.  A pair violates when ||f_i - f_j||_2 > lipschitz * d.
     """
     if not lipschitz > 0:
         raise InvalidParameter(f"lipschitz constant must be positive, got {lipschitz}")
     if num_bins < 1:
         raise InvalidParameter(f"num_bins must be >= 1, got {num_bins}")
-    pairs = list(distances)
-    if not pairs:
+    pairs = np.asarray(distances, dtype=float).reshape(-1, 3)
+    if pairs.shape[0] == 0:
         raise EmptyPairs("no distance pairs supplied")
     arr = np.asarray(f, dtype=float)
     if arr.ndim == 1:
         arr = arr[:, None]
-    d = np.array([p[2] for p in pairs], dtype=float)
-    ii = np.array([p[0] for p in pairs], dtype=int)
-    jj = np.array([p[1] for p in pairs], dtype=int)
+    ii, jj, d = pairs[:, 0].astype(int), pairs[:, 1].astype(int), pairs[:, 2]
     gaps = np.linalg.norm(arr[ii] - arr[jj], axis=1)
     violated = gaps > lipschitz * d
 

@@ -12,6 +12,7 @@ from typing import Iterable, List, Tuple
 
 import numpy as np
 from scipy import sparse
+from scipy.spatial import cKDTree
 
 from .errors import (
     IndexOutOfRange,
@@ -20,12 +21,14 @@ from .errors import (
     SelfLoop,
 )
 from .io import line_of_row, read_table, write_rows
-from .metric import FairMetricSpec, pairwise_fair_distances
+from .metric import FairMetricSpec, check_points, pair_fair_distances
 
 # weights this small cannot influence solutions beyond machine precision
 WEIGHT_FLOOR = 1e-15
 
 DEFAULT_THETA = 1e-4
+
+EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -77,21 +80,54 @@ def build_similarity_graph(
     """Gaussian-of-distance similarity graph over the rows of X.
 
     w_ij = exp(-theta * d(x_i, x_j)^2) whenever d <= tau (ties included);
-    no self-edges.  tau = inf yields a complete graph.
+    no self-edges.  tau = inf yields a complete graph.  Candidate pairs come
+    from a k-d tree, and each candidate's distance is the one
+    :func:`~fairsmooth.metric.pairwise_fair_distances` computes, so the
+    graph is the all-pairs selection without an n x n array.
     """
     if not theta > 0:
         raise InvalidParameter(f"theta must be positive, got {theta}")
     if not tau > 0:
         raise InvalidParameter(f"tau must be positive, got {tau}")
-    X = np.asarray(X, dtype=float)
-    dist = pairwise_fair_distances(metric, X)
-    n = X.shape[0]
-    # row-major nonzero order is the (i, j) order of the edge list
-    iu, ju = np.nonzero(np.triu(dist <= tau, 1))
-    d = dist[iu, ju]
+    X = check_points(metric, X)
+    rows, cols = _candidate_pairs(X, metric, tau)
+    d = pair_fair_distances(metric, X, rows, cols)
+    keep = d <= tau
+    rows, cols, d = rows[keep], cols[keep], d[keep]
     w = np.exp(-theta * d * d)
     keep = w >= WEIGHT_FLOOR
-    return _make_graph(n, iu[keep], ju[keep], w[keep])
+    return _make_graph(X.shape[0], rows[keep], cols[keep], w[keep])
+
+
+def _candidate_pairs(X: np.ndarray, metric: FairMetricSpec, tau: float):
+    """Pairs i < j whose fair distance may be <= tau, as two index arrays.
+
+    A k-d tree (Bentley 1975) over whitened coordinates z = x V sqrt(L),
+    from Sigma = V L V^T with its zero eigen-directions dropped, finds
+    every pair with ||z_i - z_j|| <= r, so ||z_i - z_j||^2 equals the
+    squared fair distance.  r exceeds tau by a bound on the rounding of the
+    gram formula d^2 = q_i + q_j - 2 c_ij, of the eigendecomposition and of
+    z, so every pair the all-pairs computation keeps is a candidate.  Every
+    pair is a candidate when tau, r or X is not finite or Sigma is zero.
+    """
+    n, dim = X.shape
+    if n > 1 and dim > 0 and np.isfinite(tau) and np.all(np.isfinite(X)):
+        sigma = np.eye(dim) if metric.sigma is None else metric.sigma
+        eigvals, eigvecs = np.linalg.eigh(sigma)
+        kept = eigvals > (dim + 1) * EPS * max(float(eigvals[-1]), 0.0)
+        reach = float(np.max(np.einsum("ij,ij->i", X, X)))  # max ||x_i||^2
+        # |q_i|, |c_ij| and ||z_i||^2 are at most reach * ||Sigma||_F, which
+        # bounds the rounding; a negative eigenvalue (Sigma is PSD only to
+        # rounding) is left out of z and can put d^2 below ||z_i - z_j||^2
+        # by up to -lambda ||x_i - x_j||^2 <= -4 lambda reach
+        slack = 64.0 * (dim + 1) ** 2 * EPS
+        negative = max(-float(eigvals[0]), 0.0)
+        pad = reach * (slack * float(np.linalg.norm(sigma)) + 4.0 * negative)
+        r = np.sqrt(tau * tau * (1.0 + slack) + pad)
+        if np.any(kept) and np.isfinite(r):
+            Z = X @ (eigvecs[:, kept] * np.sqrt(eigvals[kept]))
+            return cKDTree(Z).query_pairs(r, output_type="ndarray").T
+    return np.triu_indices(n, k=1)
 
 
 def graph_from_annotations(pairs: Iterable[Tuple[int, int]], n: int) -> SimilarityGraph:

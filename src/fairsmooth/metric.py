@@ -141,8 +141,51 @@ def fair_distance(spec: FairMetricSpec, x: np.ndarray, xp: np.ndarray) -> float:
     return float(np.sqrt(max(sq, 0.0)))
 
 
+BLOCK_SIZE = 1024
+
+
+def check_points(spec: FairMetricSpec, X: np.ndarray) -> np.ndarray:
+    """X as a float array with one row per point in the metric's dimension."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise DimensionMismatch(f"X must be 2-d, got shape {X.shape}")
+    dim = spec.dimension
+    if dim is not None and X.shape[1] != dim:
+        raise DimensionMismatch(f"X has {X.shape[1]} columns, metric dimension is {dim}")
+    return X
+
+
+def _gram_terms(spec: FairMetricSpec, X: np.ndarray):
+    """Checked X, Sigma X (X itself for euclidean) and q_i = x_i^T Sigma x_i."""
+    X = check_points(spec, X)
+    SX = X if spec.sigma is None else X @ spec.sigma
+    return X, SX, np.einsum("ij,ij->i", X, SX)
+
+
+def _cross_blocks(X, SX, block_size: int):
+    """Iterate (start, stop, X[start:stop] Sigma X^T) over the row blocks.
+
+    Every fair distance the package computes reads its gram product c_ij
+    from these blocks and forms d^2 = (q_i + q_j) - 2 c_ij from it, so a
+    distance gathered for one pair equals the all-pairs matrix entry bit
+    for bit.  The blocks share one buffer: each is valid until the next is
+    drawn.
+    """
+    if block_size < 1:
+        raise InvalidParameter("block_size must be >= 1")
+    n = X.shape[0]
+    buffer = np.empty((min(block_size, n), n))
+
+    def blocks():
+        for start in range(0, n, block_size):
+            stop = min(start + block_size, n)
+            yield start, stop, np.matmul(X[start:stop], SX.T, out=buffer[: stop - start])
+
+    return blocks()
+
+
 def pairwise_fair_distances(
-    spec: FairMetricSpec, X: np.ndarray, block_size: int = 1024
+    spec: FairMetricSpec, X: np.ndarray, block_size: int = BLOCK_SIZE
 ) -> np.ndarray:
     """All pairwise fair distances between the rows of X.
 
@@ -150,26 +193,11 @@ def pairwise_fair_distances(
     peak memory stays at O(block * n) beyond it.  The result has a zero
     diagonal and is exactly symmetric.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise DimensionMismatch(f"X must be 2-d, got shape {X.shape}")
-    n, d = X.shape
-    dim = spec.dimension
-    if dim is not None and d != dim:
-        raise DimensionMismatch(f"X has {d} columns, metric dimension is {dim}")
-    if block_size < 1:
-        raise InvalidParameter("block_size must be >= 1")
-
-    if spec.sigma is None:
-        SX = X
-    else:
-        SX = X @ spec.sigma
-    # d^2(i, j) = q_i + q_j - 2 x_i^T Sigma x_j
-    q = np.einsum("ij,ij->i", X, SX)
+    X, SX, q = _gram_terms(spec, X)
+    blocks = _cross_blocks(X, SX, block_size)
+    n = X.shape[0]
     dist = np.empty((n, n), dtype=float)
-    for start in range(0, n, block_size):
-        stop = min(start + block_size, n)
-        cross = X[start:stop] @ SX.T
+    for start, stop, cross in blocks:
         cross *= 2.0
         block = dist[start:stop]
         np.add(q[start:stop, None], q[None, :], out=block)
@@ -185,6 +213,39 @@ def pairwise_fair_distances(
         dist[start:stop, start:] = mean
         dist[start:, start:stop] = mean.T
     np.fill_diagonal(dist, 0.0)
+    return dist
+
+
+def pair_fair_distances(
+    spec: FairMetricSpec, X: np.ndarray, rows: np.ndarray, cols: np.ndarray
+) -> np.ndarray:
+    """Fair distances of the pairs (rows[k], cols[k]), without an n x n array.
+
+    Equal bit for bit to ``pairwise_fair_distances(spec, X)[rows, cols]``
+    wherever rows != cols: c_ij and c_ji are gathered from the same
+    row-block products and combined as that function combines them.
+    Memory is O(block * n + pairs).
+    """
+    X, SX, q = _gram_terms(spec, X)
+    rows = np.asarray(rows, dtype=np.intp)
+    cols = np.asarray(cols, dtype=np.intp)
+    qsum = q[rows] + q[cols]
+    halves = []  # d_ij from row i's block, d_ji from row j's block
+    for own, other in ((rows, cols), (cols, rows)):
+        order = np.argsort(own, kind="stable")
+        halves.append((order, own[order], other[order], np.empty(rows.shape)))
+    for start, stop, cross in _cross_blocks(X, SX, BLOCK_SIZE):
+        for order, own, other, c in halves:
+            lo, hi = np.searchsorted(own, (start, stop))
+            c[order[lo:hi]] = cross[own[lo:hi] - start, other[lo:hi]]
+    dist = np.zeros(rows.shape)
+    for _, _, _, c in halves:
+        c *= 2.0
+        half = qsum - c
+        np.maximum(half, 0.0, out=half)
+        np.sqrt(half, out=half)
+        dist += half
+    dist *= 0.5
     return dist
 
 

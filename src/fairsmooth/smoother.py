@@ -106,6 +106,8 @@ class SmoothingConfig:
             raise InvalidParameter("kl discrepancy requires the unnormalized laplacian")
         if not self.tolerance > 0:
             raise InvalidParameter("tolerance must be positive")
+        if self.dense_limit < 0:
+            raise InvalidParameter("dense_limit must be >= 0")
         return self
 
 
@@ -340,11 +342,13 @@ def kl_coordinate_update(
 def run_smoothing(yhat: np.ndarray, g: SimilarityGraph, config: SmoothingConfig):
     """Build the Laplacian, apply lambda conventions, and smooth.
 
-    Returns (outputs, metadata).  For the normalized random-walk kind the
-    user lambda is multiplied by the average graph degree (recorded in the
-    metadata as ``effective_lambda``).  The kl discrepancy runs the same
-    quadratic solve on natural parameters.  If the closed-form factorization
-    fails, the solver falls back to coordinate descent and notes it.
+    Returns (outputs, metadata); squared-mode outputs have the shape of
+    ``yhat``, one-dimensional included.  For the normalized random-walk
+    kind the user lambda is multiplied by the average graph degree
+    (recorded in the metadata as ``effective_lambda``).  The kl discrepancy
+    runs the same quadratic solve on natural parameters.  If the
+    closed-form factorization fails, the solver falls back to coordinate
+    descent and notes it.
     """
     config = config.validate()
     L = make_laplacian(g, config.laplacian_kind)
@@ -363,7 +367,9 @@ def run_smoothing(yhat: np.ndarray, g: SimilarityGraph, config: SmoothingConfig)
     y = to_natural_params(np.atleast_2d(yhat)) if kl else _as_outputs(yhat, L.n)
     f, meta = _solve(y, L, replace(config, lam=lam, nrw_lambda_scaling=False), meta)
     meta["residual"] = float(np.max(np.abs(f - y + lam * apply_symmetrized(L, f))))
-    return (from_natural_params(f) if kl else f), meta
+    if kl:
+        return from_natural_params(f), meta
+    return (f[:, 0] if np.ndim(yhat) == 1 else f), meta
 
 
 def _solve(y, L, config, meta):

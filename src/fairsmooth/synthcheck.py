@@ -96,30 +96,52 @@ def target_values(spec: SyntheticSpec, X: np.ndarray) -> np.ndarray:
     return np.zeros(X.shape[0])
 
 
-def kernel_weights(X: np.ndarray, sigma: float, dispersion: np.ndarray) -> np.ndarray:
-    """Dense all-pairs kernel matrix with zero diagonal.
+# rows of the kernel held at once by the streamed functionals
+KERNEL_BLOCK_ROWS = 128
+
+
+def _kernel_rows(X: np.ndarray, sigma: float, dispersion: np.ndarray):
+    """Yield (start, stop, W[start:stop, start:]) over row blocks of the kernel.
 
     W_ij = |Sigma|^{1/2} / ((2 pi)^{d/2} sigma^d)
-           * exp(-(x_i - x_j)^T Sigma (x_i - x_j) / (2 sigma^2)).
+           * exp(-(x_i - x_j)^T Sigma (x_i - x_j) / (2 sigma^2))
+    for i < j; entries on and below the diagonal are zero, so each
+    unordered pair is computed once and W + W^T is the symmetric kernel
+    with a zero diagonal.
     """
     if not sigma > 0:
         raise InvalidParameter(f"sigma must be positive, got {sigma}")
     X = np.asarray(X, dtype=float)
-    d = X.shape[1]
+    n, d = X.shape
     disp = np.asarray(dispersion, dtype=float)
     SX = X @ disp
     q = np.einsum("ij,ij->i", X, SX)
-    W = X @ SX.T
-    W *= -2.0
-    W += q[:, None]
-    W += q[None, :]
-    np.maximum(W, 0.0, out=W)
-    W *= -1.0 / (2.0 * sigma**2)
-    np.exp(W, out=W)
-    W *= np.sqrt(np.linalg.det(disp)) / ((2.0 * np.pi) ** (d / 2.0) * sigma**d)
-    # the BLAS product is only symmetric to rounding; mirror the strict
-    # upper triangle so W_ij == W_ji bit-exactly and the diagonal is zero
-    W = np.triu(W, 1)
+    scale = np.sqrt(np.linalg.det(disp)) / ((2.0 * np.pi) ** (d / 2.0) * sigma**d)
+    lower = np.tri(KERNEL_BLOCK_ROWS, dtype=bool)
+    for start in range(0, n, KERNEL_BLOCK_ROWS):
+        stop = min(start + KERNEL_BLOCK_ROWS, n)
+        W = X[start:stop] @ SX[start:].T
+        W *= -2.0
+        W += q[start:stop, None]
+        W += q[None, start:]
+        np.maximum(W, 0.0, out=W)
+        W *= -1.0 / (2.0 * sigma**2)
+        np.exp(W, out=W)
+        W *= scale
+        rows = stop - start
+        W[:, :rows][lower[:rows, :rows]] = 0.0
+        yield start, stop, W
+
+
+def kernel_weights(X: np.ndarray, sigma: float, dispersion: np.ndarray) -> np.ndarray:
+    """Dense all-pairs kernel matrix, exactly symmetric, with zero diagonal.
+
+    The weights are those of :func:`_kernel_rows`.
+    """
+    X = np.asarray(X, dtype=float)
+    W = np.zeros((X.shape[0], X.shape[0]))
+    for start, stop, block in _kernel_rows(X, sigma, dispersion):
+        W[start:stop, start:] = block
     W += W.T
     return W
 
@@ -134,11 +156,44 @@ def kernel_graph(X: np.ndarray, sigma: float, dispersion: np.ndarray):
     return _make_graph(n, iu, ju, W[iu, ju])
 
 
+def _kernel_times(X, sigma, dispersion, V: np.ndarray) -> np.ndarray:
+    """W V for the symmetric kernel W, one row block of its upper triangle at a time."""
+    out = np.zeros((X.shape[0], V.shape[1]))
+    for start, stop, W in _kernel_rows(X, sigma, dispersion):
+        out[start:stop] += W @ V[start:]
+        out[start:] += W.T @ V[start:stop]
+    return out
+
+
+def _functionals(X, f_values, sigma, dispersion, random_walk=True):
+    """(unnormalized, random-walk) functionals without an n x n array.
+
+    One pass over the kernel's row blocks times [1, f] gives the degrees d
+    and Wf; with r = d^{-1/2}, a second pass times [r, r f] gives the
+    degrees r (W r) and the product r (W (r f)) of the normalized kernel
+    D^{-1/2} W D^{-1/2}.  The random-walk value is None without
+    ``random_walk``, which skips the second pass.
+    """
+    X = np.asarray(X, dtype=float)
+    f = np.asarray(f_values, dtype=float)
+    n = X.shape[0]
+    deg, Wf = _kernel_times(X, sigma, dispersion, np.column_stack([np.ones(n), f])).T
+    # f^T (D - W) f == (1/2) sum_{i != j} W_ij (f_i - f_j)^2
+    un = 2.0 / (n**2 * sigma**2) * float(deg @ (f * f) - f @ Wf)
+    if not random_walk:
+        return un, None
+    r = 1.0 / np.sqrt(deg)
+    Wr, Wrf = _kernel_times(X, sigma, dispersion, np.column_stack([r, r * f])).T
+    # the outer r of r (W r) and r (W (r f)) cancels in their ratio
+    Lf = f - Wrf / Wr
+    return un, 2.0 * float(f @ Lf) / (n * sigma**2)
+
+
 def empirical_un_functional(
     X: np.ndarray, f_values: np.ndarray, sigma: float, dispersion: np.ndarray
 ) -> float:
     """(2 / (n^2 sigma^2)) f^T L_un f with kernel-graph weights."""
-    return _un_functional(kernel_weights(X, sigma, dispersion), f_values, sigma)
+    return _functionals(X, f_values, sigma, dispersion, random_walk=False)[0]
 
 
 def empirical_nrw_functional(
@@ -152,30 +207,7 @@ def empirical_nrw_functional(
     f(x) - (Wf)(x)/d(x) carries a 1/2 from the Gaussian second moment,
     verified here against an independent quadrature oracle.
     """
-    return _nrw_functional(kernel_weights(X, sigma, dispersion), f_values, sigma)
-
-
-def _un_functional(W: np.ndarray, f_values: np.ndarray, sigma: float) -> float:
-    """Unnormalized functional of kernel matrix ``W``, which it leaves as is."""
-    f = np.asarray(f_values, dtype=float)
-    n = W.shape[0]
-    deg = W.sum(axis=1)
-    # f^T (D - W) f == (1/2) sum_{i != j} W_ij (f_i - f_j)^2
-    quad = float(deg @ (f * f) - f @ (W @ f))
-    return 2.0 / (n**2 * sigma**2) * quad
-
-
-def _nrw_functional(W: np.ndarray, f_values: np.ndarray, sigma: float) -> float:
-    """Random-walk functional of kernel matrix ``W``, which it scales in place."""
-    f = np.asarray(f_values, dtype=float)
-    n = W.shape[0]
-    deg = W.sum(axis=1)
-    inv_sqrt = 1.0 / np.sqrt(deg)
-    W *= inv_sqrt[:, None]
-    W *= inv_sqrt[None, :]
-    td = W.sum(axis=1)
-    Lf = f - (W @ f) / td
-    return 2.0 * float(f @ Lf) / (n * sigma**2)
+    return _functionals(X, f_values, sigma, dispersion)[1]
 
 
 def analytic_limit(spec: SyntheticSpec):
@@ -224,10 +256,9 @@ def convergence_report(
         for seed in seeds:
             X = sample_inputs(spec, n, seed)
             f = target_values(spec, X)
-            # one kernel for both; the random-walk helper scales it in place
-            W = kernel_weights(X, sigma, spec.dispersion)
-            un_vals.append(_un_functional(W, f, sigma))
-            nrw_vals.append(_nrw_functional(W, f, sigma))
+            un, nrw = _functionals(X, f, sigma, spec.dispersion)
+            un_vals.append(un)
+            nrw_vals.append(nrw)
         for kind, vals, limit in (
             ("unnormalized", un_vals, limit_un),
             ("normalized_random_walk", nrw_vals, limit_nrw),

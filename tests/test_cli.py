@@ -331,6 +331,11 @@ class TestSmoothConfig:
         assert code == 1 and config is None
         assert_one_error_line(capsys, "InvalidParameter")
 
+    def test_negative_dense_limit_rejected(self, run, capsys):
+        code, config = run({"dense_limit": -5})
+        assert code == 1 and config is None
+        assert_one_error_line(capsys, "InvalidParameter")
+
     @pytest.mark.parametrize("lam", ["nan", "inf"])
     def test_non_finite_lambda_rejected(self, run, capsys, lam):
         code, config = run(flags=["--lambda", lam])
@@ -515,6 +520,19 @@ class TestEval:
         report = json.loads(open(out).read())
         assert "accuracy" not in report
         assert report["prediction_consistency"] == 1.0
+
+    def test_non_integer_pair_index_rejected(self, tmp_path, capsys):
+        outputs = write_outputs(tmp_path, np.array([[0.9], [0.1]]))
+        groups = tmp_path / "groups.csv"
+        groups.write_text("row_index,group_id,is_original\n0,a,1\n1,b,1\n")
+        distances = tmp_path / "dist.tsv"
+        distances.write_text("0\t1.5\t1.0\n")
+        code = main(
+            ["eval", "--outputs", outputs, "--groups", str(groups),
+             "--distances", str(distances), "--lipschitz", "1.0"]
+        )
+        assert code == 1
+        assert_one_error_line(capsys, "ParseError")
 
     def test_distances_require_lipschitz(self, tmp_path, capsys):
         outputs = write_outputs(tmp_path, np.array([[0.9], [0.1]]))

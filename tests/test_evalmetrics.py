@@ -77,6 +77,34 @@ class TestPredictionConsistency:
             )
 
 
+    def test_names_first_group_without_one_original(self):
+        with pytest.raises(EmptyGroup, match="'b'.* has 2 originals"):
+            GroupedPredictions(
+                outputs=np.zeros(5),
+                group_of=np.array(["c", "b", "a", "b", "c"]),
+                is_original=np.array([False, True, True, True, False]),
+            )
+
+    def test_matches_per_group_loop(self):
+        rng = np.random.default_rng(52)
+        for _ in range(20):
+            sizes = rng.integers(1, 5, size=int(rng.integers(1, 30)))
+            group_of = np.repeat(np.array([f"g{k}" for k in range(len(sizes))]), sizes)
+            perm = rng.permutation(len(group_of))
+            group_of = group_of[perm]
+            first = np.unique(group_of, return_index=True)[1]
+            is_original = np.zeros(len(group_of), dtype=bool)
+            is_original[first] = True
+            outputs = rng.uniform(size=(len(group_of), 2))
+            g = GroupedPredictions(outputs, group_of, is_original)
+            preds = predicted_classes(outputs)
+            consistent = [
+                np.all(preds[group_of == gid] == preds[(group_of == gid) & is_original][0])
+                for gid in np.unique(group_of)
+            ]
+            assert prediction_consistency(g) == sum(consistent) / len(consistent)
+
+
 class TestScalarMetrics:
     def test_output_std_constant(self):
         assert output_std(np.full(4, 2.5), [0, 1, 2, 3]) == 0.0
@@ -159,6 +187,21 @@ class TestViolationHistogram:
         )
         assert hist[0][2] == 1  # the d=0 pair
         assert hist[0][3] == 1  # any gap over a zero bound violates
+
+    def test_array_and_triples_agree(self):
+        rng = np.random.default_rng(53)
+        f = rng.normal(size=(12, 2))
+        iu, ju = np.triu_indices(12, k=1)
+        d = rng.uniform(0.0, 3.0, size=iu.size)
+        triples = list(zip(iu.tolist(), ju.tolist(), d.tolist()))
+        array = np.column_stack([iu, ju, d])
+        expected = violation_histogram(f, triples, lipschitz=0.7, num_bins=5)
+        assert violation_histogram(f, array, lipschitz=0.7, num_bins=5) == expected
+        assert sum(t for _, _, t, _ in expected) == iu.size
+
+    def test_empty_array_rejected(self):
+        with pytest.raises(EmptyPairs):
+            violation_histogram(np.array([0.0]), np.empty((0, 3)), lipschitz=1.0)
 
     def test_empty_pairs_rejected(self):
         with pytest.raises(EmptyPairs):

@@ -204,6 +204,13 @@ class TestConfigTypes:
     def test_integer_lambda_accepted(self):
         assert SmoothingConfig(lam=2).validate().lam == 2
 
+    def test_negative_dense_limit_rejected(self):
+        with pytest.raises(InvalidParameter, match="dense_limit"):
+            SmoothingConfig(dense_limit=-5).validate()
+
+    def test_zero_dense_limit_accepted(self):
+        assert SmoothingConfig(dense_limit=0).validate().dense_limit == 0
+
 
 class TestInductive:
     def test_isolated_new_point(self):
@@ -465,3 +472,45 @@ class TestRunSmoothing:
     def test_kl_discrepancy_config_validation(self):
         with pytest.raises(InvalidParameter):
             SmoothingConfig(discrepancy="kl", laplacian_kind=NORMALIZED_RW).validate()
+
+
+class TestRunSmoothingShapes:
+    """The driver returns outputs in the shape of its squared-mode input."""
+
+    def instance(self, n=12, seed=37):
+        rng = np.random.default_rng(seed)
+        g = build_similarity_graph(rng.normal(size=(n, 2)), EUCLID, theta=0.5, tau=np.inf)
+        return rng, g
+
+    def test_closed_form_one_dimensional(self):
+        rng, g = self.instance()
+        y = rng.normal(size=12)
+        f, meta = run_smoothing(y, g, SmoothingConfig(lam=0.7))
+        assert f.shape == (12,)
+        assert np.array_equal(f, smooth_closed_form(y, make_laplacian(g, UNNORMALIZED), 0.7))
+        assert np.array_equal(f, run_smoothing(y[:, None], g, SmoothingConfig(lam=0.7))[0][:, 0])
+        assert meta["residual"] < 1e-8
+
+    def test_coordinate_descent_fallback_one_dimensional(self):
+        rng, g = self.instance()
+        y = rng.normal(size=12)
+        config = SmoothingConfig(lam=0.7, dense_limit=2, epochs=200, tolerance=1e-13)
+        f, meta = run_smoothing(y, g, config)
+        assert meta["fallback_to_cd"] is True
+        assert f.shape == (12,)
+        f2, meta2 = run_smoothing(y[:, None], g, config)
+        assert np.array_equal(f, f2[:, 0])
+        # the residual is measured before the column is squeezed away
+        assert meta["residual"] == meta2["residual"] < 1e-8
+
+    def test_two_dimensional_unchanged(self):
+        rng, g = self.instance()
+        y = rng.normal(size=(12, 3))
+        f, _ = run_smoothing(y, g, SmoothingConfig(lam=0.7))
+        assert f.shape == (12, 3)
+
+    def test_kl_two_dimensional_unchanged(self):
+        rng, g = self.instance()
+        p = rng.dirichlet(np.ones(3), size=12)
+        out, _ = run_smoothing(p, g, SmoothingConfig(lam=0.7, discrepancy="kl"))
+        assert out.shape == (12, 3)

@@ -12,6 +12,7 @@ from fairsmooth import (
 )
 from fairsmooth.errors import InvalidParameter, UnsupportedSpec
 from fairsmooth.synthcheck import (
+    KERNEL_BLOCK_ROWS,
     kernel_graph,
     kernel_weights,
     target_values,
@@ -185,6 +186,35 @@ class TestEmpiricalFunctionals:
             f = target_values(spec, X)
             vals.append(empirical_un_functional(X, f, sigma, ONE))
         assert np.mean(vals) == pytest.approx(expected, rel=0.05)
+
+
+def dense_functionals(X, f, sigma, dispersion):
+    # reference: both functionals from the whole kernel matrix
+    W = kernel_weights(X, sigma, dispersion)
+    n = W.shape[0]
+    deg = W.sum(axis=1)
+    un = 2.0 / (n**2 * sigma**2) * float(deg @ (f * f) - f @ (W @ f))
+    Wt = W / np.sqrt(np.outer(deg, deg))
+    Lf = f - (Wt @ f) / Wt.sum(axis=1)
+    return un, 2.0 * float(f @ Lf) / (n * sigma**2)
+
+
+class TestStreamedFunctionals:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_match_dense_kernel(self, d):
+        n = 2 * KERNEL_BLOCK_ROWS + 37  # three row blocks, the last one short
+        spec = SyntheticSpec(
+            dimension=d,
+            target_function="cosine_product",
+            sigma_exponent=1.0 / (d + 4),
+            dispersion=np.diag([2.0, 0.5, 1.5][:d]),
+        )
+        X = sample_inputs(spec, n, seed=70 + d)
+        f = target_values(spec, X)
+        sigma = spec.sigma_at(n)
+        un, nrw = dense_functionals(X, f, sigma, spec.dispersion)
+        assert empirical_un_functional(X, f, sigma, spec.dispersion) == pytest.approx(un, rel=1e-12)
+        assert empirical_nrw_functional(X, f, sigma, spec.dispersion) == pytest.approx(nrw, rel=1e-12)
 
 
 class TestAnalyticLimits:
