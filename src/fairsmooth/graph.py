@@ -81,9 +81,11 @@ def build_similarity_graph(
 
     w_ij = exp(-theta * d(x_i, x_j)^2) whenever d <= tau (ties included);
     no self-edges.  tau = inf yields a complete graph.  Candidate pairs come
-    from a k-d tree, and each candidate's distance is the one
-    :func:`~fairsmooth.metric.pairwise_fair_distances` computes, so the
-    graph is the all-pairs selection without an n x n array.
+    from a k-d tree, and each candidate's distance is evaluated in
+    difference form by :func:`~fairsmooth.metric.pair_fair_distances`, in
+    O(d^2) per pair.  That is the entry
+    :func:`~fairsmooth.metric.pairwise_fair_distances` computes for the
+    pair, so the graph is the all-pairs selection without an n x n array.
     """
     if not theta > 0:
         raise InvalidParameter(f"theta must be positive, got {theta}")
@@ -103,12 +105,13 @@ def _candidate_pairs(X: np.ndarray, metric: FairMetricSpec, tau: float):
     """Pairs i < j whose fair distance may be <= tau, as two index arrays.
 
     A k-d tree (Bentley 1975) over whitened coordinates z = x V sqrt(L),
-    from Sigma = V L V^T with its zero eigen-directions dropped, finds
+    from Sigma = V L V^T with its near-zero eigen-directions dropped, finds
     every pair with ||z_i - z_j|| <= r, so ||z_i - z_j||^2 equals the
-    squared fair distance.  r exceeds tau by a bound on the rounding of the
-    gram formula d^2 = q_i + q_j - 2 c_ij, of the eigendecomposition and of
-    z, so every pair the all-pairs computation keeps is a candidate.  Every
-    pair is a candidate when tau, r or X is not finite or Sigma is zero.
+    squared fair distance up to rounding.  r exceeds tau by a bound on that
+    rounding and on the rounding of the difference form
+    :func:`~fairsmooth.metric.pair_fair_distances` evaluates, so every pair
+    the all-pairs computation keeps is a candidate.  Every pair is a
+    candidate when tau, r or X is not finite or Sigma is zero.
     """
     n, dim = X.shape
     if n > 1 and dim > 0 and np.isfinite(tau) and np.all(np.isfinite(X)):
@@ -116,10 +119,21 @@ def _candidate_pairs(X: np.ndarray, metric: FairMetricSpec, tau: float):
         eigvals, eigvecs = np.linalg.eigh(sigma)
         kept = eigvals > (dim + 1) * EPS * max(float(eigvals[-1]), 0.0)
         reach = float(np.max(np.einsum("ij,ij->i", X, X)))  # max ||x_i||^2
-        # |q_i|, |c_ij| and ||z_i||^2 are at most reach * ||Sigma||_F, which
-        # bounds the rounding; a negative eigenvalue (Sigma is PSD only to
-        # rounding) is left out of z and can put d^2 below ||z_i - z_j||^2
-        # by up to -lambda ||x_i - x_j||^2 <= -4 lambda reach
+        # With u = EPS / 2, s = ||Sigma||_F and ||x_i - x_j||^2 <= 4 reach,
+        # the distance the graph keeps and the tree's differ from the exact
+        # d^2 = delta^T Sigma delta by at most
+        #   (2 dim + 2) u |delta|^T |Sigma| |delta| <= 4 (dim + 1) EPS s reach
+        #     from the rounding of x_i - x_j and of the difference form;
+        #   4 (dim + 1) EPS s reach from the dropped eigenvalues;
+        #   4 p(dim) u s reach from the eigendecomposition's backward error
+        #     ||Sigma - V L V^T|| <= p(dim) u s, p of low degree;
+        #   4 dim^(5/4) EPS s reach from rounding z = x V sqrt(L).
+        # The last two scale with ||x_i||, not with ||x_i - x_j||, so they
+        # pad r even for close points; 64 (dim + 1)^2 EPS s reach covers the
+        # sum for p(dim) up to 20 (dim + 1)^2.  A negative eigenvalue
+        # (Sigma is PSD only to rounding) is left out of z and can put d^2
+        # below ||z_i - z_j||^2 by up to -lambda ||x_i - x_j||^2 <= -4 lambda
+        # reach; the relative term covers the square roots and the tree.
         slack = 64.0 * (dim + 1) ** 2 * EPS
         negative = max(-float(eigvals[0]), 0.0)
         pad = reach * (slack * float(np.linalg.norm(sigma)) + 4.0 * negative)

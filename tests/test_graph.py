@@ -110,6 +110,21 @@ class TestBuildSimilarityGraph:
         assert np.array_equal(g.cols, ju[keep])
         assert np.array_equal(g.weights, w[keep])
 
+    def test_sensitive_variants_get_weight_one(self):
+        # the cli_pipeline benchmark's inputs at seed 0: 500 groups of five
+        # variants that differ only in the sensitive coordinate 0, which the
+        # metric projects out, so every within-group distance is exactly 0
+        groups, variants, cube = 500, 5, 2.775
+        rng = np.random.default_rng(0)
+        X = np.empty((groups * variants, 5))
+        X[:, 1:] = np.repeat(rng.uniform(0.0, cube, size=(groups, 4)), variants, axis=0)
+        X[:, 0] = rng.uniform(-1.0, 1.0, size=groups * variants)
+        metric = validate_metric(FairMetricSpec("projection_complement", basis=np.eye(5)[:1]))
+        g = build_similarity_graph(X, metric, theta=1.0, tau=1.0)
+        same = g.rows // variants == g.cols // variants
+        assert np.count_nonzero(same) == groups * variants * (variants - 1) // 2
+        assert np.all(g.weights[same] == 1.0)
+
     def test_edges_sorted(self):
         rng = np.random.default_rng(7)
         X = rng.normal(size=(10, 2))

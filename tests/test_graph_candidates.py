@@ -86,7 +86,8 @@ class TestCandidatePairsMatchAllPairs:
         assert_matches_all_pairs(X, metric, 1.0 / tau**2, tau)
 
     def test_past_one_row_block(self):
-        # 1030 rows span two 1024-row blocks of the distance products
+        # 1030 rows: the k-d tree proposes pairs on both sides of row 1024,
+        # and the all-pairs reference spans many row blocks
         rng = np.random.default_rng(11)
         X = rng.uniform(0.0, 3.0, size=(1030, 3))
         basis = np.linalg.qr(rng.normal(size=(3, 1)))[0].T

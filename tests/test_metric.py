@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from fairsmooth import (
     pairwise_fair_distances,
     validate_metric,
 )
+from fairsmooth.metric import PAIR_CHUNK, pair_fair_distances
 from fairsmooth.errors import (
     DimensionMismatch,
     InvalidParameter,
@@ -144,22 +147,30 @@ class TestPairwise:
         assert np.max(np.abs(D1 - D2)) < 1e-10
 
 
-def reference_pairwise(spec, X, block_size):
-    # the expression the in-place version replaces: whole-block temporaries,
-    # a fresh array for the root and another for the symmetrization
-    SX = X if spec.sigma is None else X @ spec.sigma
-    q = np.einsum("ij,ij->i", X, SX)
-    n = X.shape[0]
-    sq = np.empty((n, n))
-    for start in range(0, n, block_size):
-        stop = min(start + block_size, n)
-        cross = X[start:stop] @ SX.T
-        sq[start:stop] = q[start:stop, None] + q[None, :] - 2.0 * cross
-    np.maximum(sq, 0.0, out=sq)
-    dist = np.sqrt(sq)
-    dist = 0.5 * (dist + dist.T)
-    np.fill_diagonal(dist, 0.0)
-    return dist
+EPS = np.finfo(float).eps
+
+
+def assert_within_oracle(spec, X, D):
+    """Check D against exact rational arithmetic on the float inputs.
+
+    For each pair, |D_ij^2 - delta^T Sigma delta| <= 4 d eps |delta|^T |Sigma| |delta|,
+    with delta = x_i - x_j and d^2 evaluated exactly: rounding x_i - x_j and
+    the 2 d operations of the quadratic form contribute (2 d + 2) u, the
+    square root and squaring D another 2 u, with u = eps / 2.
+    """
+    n, d = X.shape
+    F = [[Fraction(v) for v in row] for row in X.tolist()]
+    if spec.sigma is None:
+        S = [[Fraction(int(k == l)) for l in range(d)] for k in range(d)]
+    else:
+        S = [[Fraction(v) for v in row] for row in spec.sigma.tolist()]
+    bound = 4 * d * Fraction(EPS)
+    for i in range(n):
+        for j in range(i + 1, n):
+            delta = [a - b for a, b in zip(F[i], F[j])]
+            exact = sum(delta[k] * S[k][l] * delta[l] for k in range(d) for l in range(d))
+            size = sum(abs(delta[k] * S[k][l] * delta[l]) for k in range(d) for l in range(d))
+            assert abs(Fraction(float(D[i, j])) ** 2 - exact) <= bound * size, (i, j)
 
 
 class TestPairwiseMatchesReference:
@@ -172,8 +183,9 @@ class TestPairwiseMatchesReference:
         assert np.linalg.matrix_rank(spec.sigma) == 2
         X = rng.normal(size=(n, 4))
         D = pairwise_fair_distances(spec, X, block_size=block_size)
-        assert np.array_equal(D, reference_pairwise(spec, X, block_size))
+        assert_within_oracle(spec, X, D)
         assert np.array_equal(D, D.T)
+        assert np.all(np.diag(D) == 0.0)
 
     @pytest.mark.parametrize("block_size", [1, 7, 1024])
     def test_euclidean_and_full_rank(self, block_size):
@@ -182,9 +194,61 @@ class TestPairwiseMatchesReference:
         A = rng.normal(size=(3, 3))
         for spec in (validate_metric(FairMetricSpec("euclidean")), mahalanobis(A.T @ A)):
             D = pairwise_fair_distances(spec, X, block_size=block_size)
-            assert np.array_equal(D, reference_pairwise(spec, X, block_size))
+            assert_within_oracle(spec, X, D)
             assert np.array_equal(D, D.T)
             assert np.all(np.diag(D) == 0.0)
+
+    def test_offset_keeps_relative_accuracy(self):
+        # far from the origin, q_i + q_j - 2 c_ij cancelled to 1e-8 relative
+        # error of d^2; the difference form stays within the bound
+        rng = np.random.default_rng(8)
+        X = 1e3 + rng.normal(size=(20, 5))
+        A = rng.normal(size=(5, 5))
+        for spec in (validate_metric(FairMetricSpec("euclidean")), mahalanobis(A.T @ A)):
+            assert_within_oracle(spec, X, pairwise_fair_distances(spec, X))
+
+    def test_integer_grid_is_exact(self):
+        # integer differences and integer Sigma: every product and sum is an
+        # exact integer, so D is the correctly rounded root of the exact d^2
+        rng = np.random.default_rng(9)
+        X = rng.integers(-50, 51, size=(25, 3)).astype(float)
+        A = rng.integers(-3, 4, size=(2, 3))
+        spec = mahalanobis(A.T @ A)
+        D = pairwise_fair_distances(spec, X, block_size=4)
+        for i in range(25):
+            for j in range(25):
+                delta = (X[i] - X[j]).astype(int)
+                exact = int(delta @ (A.T @ A) @ delta)
+                assert D[i, j] == np.sqrt(float(exact))
+
+
+class TestPairDistances:
+    @pytest.mark.parametrize("kind", ["euclidean", "full_rank"])
+    def test_shuffled_pairs_past_one_chunk(self, kind):
+        # more pairs than one chunk, in random order and orientation
+        rng = np.random.default_rng(12)
+        n = 400
+        X = rng.normal(size=(n, 5)) * 10.0
+        A = rng.normal(size=(5, 5))
+        spec = validate_metric(FairMetricSpec("euclidean")) if kind == "euclidean" else mahalanobis(A.T @ A)
+        iu, ju = np.triu_indices(n, k=1)
+        swap = rng.random(iu.size) < 0.5
+        rows, cols = np.where(swap, ju, iu), np.where(swap, iu, ju)
+        order = rng.permutation(iu.size)
+        rows, cols = rows[order], cols[order]
+        assert rows.size > PAIR_CHUNK
+        D = pairwise_fair_distances(spec, X)
+        assert np.array_equal(pair_fair_distances(spec, X, rows, cols), D[rows, cols])
+
+    def test_scalar_distance_is_the_same_formula(self):
+        rng = np.random.default_rng(13)
+        A = rng.normal(size=(4, 4))
+        spec = mahalanobis(A.T @ A)
+        X = rng.normal(size=(6, 4))
+        D = pairwise_fair_distances(spec, X)
+        for i in range(6):
+            for j in range(6):
+                assert fair_distance(spec, X[i], X[j]) == D[i, j]
 
 
 class TestJsonSpec:
