@@ -13,11 +13,8 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (
-    IndexOutOfRange,
-    InvalidParameter,
-    NotConverged,
-)
+from .errors import InvalidParameter, NotConverged
+from .metric import check_pairs
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 10_000
@@ -41,16 +38,17 @@ class LipschitzConstraint:
 def constraints_from_distances(
     pairs: Sequence[Tuple[int, int, float]], lipschitz: float
 ) -> List[LipschitzConstraint]:
-    """Turn (i, j, fair distance) triples into constraints with bound L*d."""
-    if not lipschitz > 0:
-        raise InvalidParameter(f"lipschitz constant must be positive, got {lipschitz}")
-    out = []
-    for i, j, d in pairs:
-        i, j = int(i), int(j)
-        if i > j:
-            i, j = j, i
-        out.append(LipschitzConstraint(i=i, j=j, bound=lipschitz * float(d)))
-    return out
+    """Turn (i, j, fair distance) triples, or an (m, 3) array, into constraints with bound L*d."""
+    if not 0 < lipschitz < np.inf:
+        raise InvalidParameter(f"lipschitz constant must be positive and finite, got {lipschitz}")
+    i, j, d = check_pairs(pairs)
+    lo, hi, bounds = np.minimum(i, j).tolist(), np.maximum(i, j).tolist(), (lipschitz * d).tolist()
+    return [LipschitzConstraint(i=a, j=b, bound=c) for a, b, c in zip(lo, hi, bounds)]
+
+
+def _constraint_arrays(constraints: Sequence[LipschitzConstraint], n: int):
+    """(i, j, bound) arrays of the constraints, in their order, checked against n."""
+    return check_pairs([(c.i, c.j, c.bound) for c in constraints], n)
 
 
 def project_pair(f_i: np.ndarray, f_j: np.ndarray, bound: float):
@@ -83,48 +81,48 @@ def global_if_project(
     correction per constraint.  Terminates when every constraint holds
     within tol and the iterate moved less than tol over a full sweep.
     """
+    if not 0 < tol < np.inf:
+        raise InvalidParameter(f"tol must be positive and finite, got {tol}")
+    if max_iter < 1:
+        raise InvalidParameter(f"max_iter must be >= 1, got {max_iter}")
     y = np.asarray(yhat, dtype=float)
+    if not np.all(np.isfinite(y)):
+        raise InvalidParameter("yhat has non-finite entries")
     squeeze = y.ndim == 1
     f = y[:, None].copy() if squeeze else y.copy()
     n, K = f.shape
-    cons = sorted(constraints, key=lambda c: (c.i, c.j))
-    for c in cons:
-        if not (0 <= c.i < n and 0 <= c.j < n):
-            raise IndexOutOfRange(f"constraint ({c.i}, {c.j}) out of range for n={n}")
-    if not cons:
+    ii, jj, bounds = _constraint_arrays(constraints, n)
+    order = np.lexsort((jj, ii))
+    ii, jj, bounds = ii[order], jj[order], bounds[order]
+    if not ii.size:
         return f[:, 0] if squeeze else f
 
+    cons = list(zip(ii.tolist(), jj.tolist(), bounds.tolist()))
     corrections = np.zeros((len(cons), 2, K))
     for _ in range(max_iter):
         moved = 0.0
-        for idx, c in enumerate(cons):
-            zi = f[c.i] + corrections[idx, 0]
-            zj = f[c.j] + corrections[idx, 1]
-            pi, pj = project_pair(zi, zj, c.bound)
+        for idx, (i, j, bound) in enumerate(cons):
+            zi = f[i] + corrections[idx, 0]
+            zj = f[j] + corrections[idx, 1]
+            pi, pj = project_pair(zi, zj, bound)
             corrections[idx, 0] = zi - pi
             corrections[idx, 1] = zj - pj
             moved = max(
                 moved,
-                float(np.max(np.abs(pi - f[c.i]))),
-                float(np.max(np.abs(pj - f[c.j]))),
+                float(np.max(np.abs(pi - f[i]))),
+                float(np.max(np.abs(pj - f[j]))),
             )
-            f[c.i] = pi
-            f[c.j] = pj
-        worst = _worst_violation(f, cons)
+            f[i] = pi
+            f[j] = pj
+        worst = _excess(f, ii, jj, bounds).max(initial=0.0)
         if worst <= tol and moved < tol:
             return f[:, 0] if squeeze else f
-    raise NotConverged(
-        f"Dykstra did not converge in {max_iter} sweeps; worst violation {_worst_violation(f, cons):.3e}"
-    )
+    raise NotConverged(f"Dykstra did not converge in {max_iter} sweeps; worst violation {worst:.3e}")
 
 
-def _worst_violation(f: np.ndarray, cons: Sequence[LipschitzConstraint]) -> float:
-    worst = 0.0
-    for c in cons:
-        excess = float(np.linalg.norm(f[c.i] - f[c.j])) - c.bound
-        if excess > worst:
-            worst = excess
-    return worst
+def _excess(f: np.ndarray, ii: np.ndarray, jj: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """||f_i - f_j|| - bound per constraint."""
+    return np.linalg.norm(f[ii] - f[jj], axis=1) - bounds
 
 
 def count_violations(
@@ -132,13 +130,12 @@ def count_violations(
     constraints: Sequence[LipschitzConstraint],
     slack: float = 0.0,
 ) -> List[Tuple[int, int, float]]:
-    """Pairs violating their bound by more than ``slack``, with the excess."""
+    """Pairs violating their bound by more than ``slack``, with the excess,
+    in the order of ``constraints``."""
     arr = np.asarray(f, dtype=float)
     if arr.ndim == 1:
         arr = arr[:, None]
-    out = []
-    for c in constraints:
-        excess = float(np.linalg.norm(arr[c.i] - arr[c.j])) - c.bound
-        if excess > slack:
-            out.append((c.i, c.j, excess))
-    return out
+    ii, jj, bounds = _constraint_arrays(constraints, arr.shape[0])
+    excess = _excess(arr, ii, jj, bounds)
+    hit = excess > slack
+    return list(zip(ii[hit].tolist(), jj[hit].tolist(), excess[hit].tolist()))

@@ -9,6 +9,7 @@ reported as one machine-parsable line on standard error.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
@@ -19,7 +20,7 @@ from . import baseline as baseline_mod
 from . import evalmetrics, graph, io, metric, smoother, synthcheck
 from .errors import (
     FairSmoothError,
-    IndexOutOfRange,
+    InvalidParameter,
     NumericalError,
     ParseError,
     RowCountMismatch,
@@ -181,10 +182,15 @@ def cmd_inductive(args) -> None:
     fitted = io.read_matrix_csv(args.fitted)
     weights = np.zeros(fitted.shape[0])
     idx, w = _read_weight_rows(args.weights)
-    if idx.size and (idx.min() < 0 or idx.max() >= weights.size):
-        raise IndexOutOfRange(f"{args.weights}: index outside 0..{weights.size - 1}")
+    io.check_row_indices(args.weights, idx, weights.size, comments=True)
+    bad = np.flatnonzero(~((w >= 0) & (w < np.inf)))
+    if bad.size:
+        line = io.line_of_row(args.weights, int(bad[0]), comments=True)
+        raise InvalidParameter(f"{args.weights}:{line}: weight must be finite and >= 0, got {w[bad[0]]}")
     weights[idx] = w
     y_new = np.array(_parse_float_list(args.yhat_new))
+    if not np.all(np.isfinite(y_new)):
+        raise InvalidParameter(f"--yhat-new must be finite, got {args.yhat_new!r}")
     out = smoother.inductive_update(fitted, weights, y_new, args.lam)
     out = np.atleast_1d(out)
     if args.out:
@@ -227,12 +233,8 @@ def cmd_eval(args) -> None:
     if args.distances:
         if args.lipschitz is None:
             raise ValidationError("--distances requires --lipschitz")
-        columns, _ = io.read_table(
-            args.distances, (np.int64, np.int64, float), delimiter="\t", comments=True
-        )
-        pairs = np.column_stack(columns)
         report.violation_histogram = evalmetrics.violation_histogram(
-            outputs, pairs, args.lipschitz, num_bins=args.bins
+            outputs, io.read_pairs_tsv(args.distances), args.lipschitz, num_bins=args.bins
         )
     payload = report.to_dict()
     if args.out:
@@ -250,27 +252,11 @@ def cmd_check_limits(args) -> None:
     n_grid = _parse_int_list(args.n_grid)
     seeds = _parse_int_list(args.seeds)
     rows = synthcheck.convergence_report(spec, n_grid, seeds)
-    lines = ["kind,n,sigma,empirical_mean,empirical_std,analytic,relative_error"]
-    for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    r["kind"],
-                    str(r["n"]),
-                    io.format_float(r["sigma"]),
-                    io.format_float(r["empirical_mean"]),
-                    io.format_float(r["empirical_std"]),
-                    io.format_float(r["analytic"]),
-                    io.format_float(r["relative_error"]),
-                ]
-            )
-        )
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    names = ["kind", "n", "sigma", "empirical_mean", "empirical_std", "analytic", "relative_error"]
+    columns = [np.array([r[name] for r in rows]) for name in names]
+    with (open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout)) as fh:
+        fh.write(",".join(names) + "\n")
+        io.write_rows(fh, ",".join(["%s", "%d"] + [io.FLOAT_FMT] * 5) + "\n", *columns)
 
 
 def cmd_aggregate(args) -> None:

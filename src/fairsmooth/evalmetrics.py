@@ -19,6 +19,7 @@ from .errors import (
     InvalidParameter,
     NoLabels,
 )
+from .metric import check_pairs
 
 DEFAULT_THRESHOLD = 0.5
 
@@ -164,26 +165,26 @@ def violation_histogram(
     """Bin constrained pairs by fair distance; count violations per bin.
 
     ``distances`` holds (i, j, d) triples, as a sequence or an (m, 3)
-    array.  Bins are equal-width over [0, max distance], right-open except
-    the last.  A pair violates when ||f_i - f_j||_2 > lipschitz * d.
+    array, checked by :func:`check_pairs` against the rows of ``f``.  Bins
+    are equal-width over [0, max distance], right-open except the last.  A
+    pair violates when ||f_i - f_j||_2 > lipschitz * d.
     """
     if not lipschitz > 0:
         raise InvalidParameter(f"lipschitz constant must be positive, got {lipschitz}")
     if num_bins < 1:
         raise InvalidParameter(f"num_bins must be >= 1, got {num_bins}")
-    pairs = np.asarray(distances, dtype=float).reshape(-1, 3)
-    if pairs.shape[0] == 0:
-        raise EmptyPairs("no distance pairs supplied")
     arr = np.asarray(f, dtype=float)
     if arr.ndim == 1:
         arr = arr[:, None]
-    ii, jj, d = pairs[:, 0].astype(int), pairs[:, 1].astype(int), pairs[:, 2]
+    ii, jj, d = check_pairs(distances, arr.shape[0])
+    if d.size == 0:
+        raise EmptyPairs("no distance pairs supplied")
     gaps = np.linalg.norm(arr[ii] - arr[jj], axis=1)
     violated = gaps > lipschitz * d
 
     dmax = float(d.max())
     if dmax == 0.0:
-        return [(0.0, 0.0, len(pairs), int(violated.sum()))]
+        return [(0.0, 0.0, d.size, int(violated.sum()))]
     edges = np.linspace(0.0, dmax, num_bins + 1)
     which = np.minimum((d / dmax * num_bins).astype(int), num_bins - 1)
     out = []

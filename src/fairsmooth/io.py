@@ -11,7 +11,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import IndexOutOfRange, ParseError
 
 FLOAT_FMT = "%.17g"
 
@@ -92,7 +92,7 @@ def _data_lines(path, comments, skiprows):
 
 
 def _first_bad_line(path, dtypes, delimiter, comments, skiprows) -> Optional[str]:
-    kinds = None if dtypes is None else [int if np.issubdtype(t, np.integer) else float for t in dtypes]
+    kinds = None if dtypes is None else [{"i": int, "f": float}.get(np.dtype(t).kind, str) for t in dtypes]
     for lineno, text in _data_lines(path, comments, skiprows):
         fields = next(csv.reader([text])) if delimiter == "," else text.split(delimiter)
         if kinds is None:
@@ -176,66 +176,56 @@ def write_matrix_csv(path, M: np.ndarray, header: bool = True) -> None:
             write_rows(fh, ",".join([FLOAT_FMT] * M.shape[1]) + "\n", *M.T)
 
 
-def read_pairs_tsv(path) -> List[Tuple[int, int, float]]:
-    """Read 'i<TAB>j<TAB>value' triples (fair distances between pairs)."""
-    (i, j, value), _ = read_table(
-        path, (np.int64, np.int64, float), delimiter="\t", comments=True
-    )
-    return list(zip(i.tolist(), j.tolist(), value.tolist()))
+def read_pairs_tsv(path) -> np.ndarray:
+    """Read 'i<TAB>j<TAB>d' rows (fair distances between pairs) as an (m, 3)
+    float array; :func:`metric.check_pairs` checks its values."""
+    columns, _ = read_table(path, (np.int64, np.int64, float), delimiter="\t", comments=True)
+    return np.column_stack(columns)
+
+
+def check_row_indices(path, idx: np.ndarray, n: int, *, comments: bool = False, skiprows: int = 0) -> None:
+    """Reject row indices of a file read by :func:`read_table` that fall
+    outside 0..n-1 (IndexOutOfRange) or name a row twice (ParseError),
+    naming the first offending line."""
+    outside = np.flatnonzero((idx < 0) | (idx >= n))
+    _, first = np.unique(idx, return_index=True)
+    repeated = np.setdiff1d(np.arange(idx.size), first)
+    for rows, error, what in (
+        (outside, IndexOutOfRange, f"is outside 0..{n - 1}"),
+        (repeated, ParseError, "names a row already named"),
+    ):
+        if rows.size:
+            line = line_of_row(path, int(rows[0]), comments=comments, skiprows=skiprows)
+            raise error(f"{path}:{line}: row index {idx[rows[0]]} {what}")
+
+
+def _read_keyed_rows(path, dtypes):
+    """Columns after the first of a 'row_index,...' CSV, in row-index order;
+    the indices must be a permutation of 0..n-1.  A first line whose first
+    field is 'row_index' is a header."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        header = next(csv.reader([fh.readline()]), None) or [""]
+    skiprows = int(header[0].strip().lower() == "row_index")
+    (idx, *columns), _ = read_table(path, (np.int64, *dtypes), delimiter=",", skiprows=skiprows)
+    if idx.size == 0:
+        raise ParseError(f"{path}: no data rows")
+    check_row_indices(path, idx, idx.size, skiprows=skiprows)
+    order = np.argsort(idx)
+    return [column[order] for column in columns]
 
 
 def read_groups_csv(path):
     """Read 'row_index,group_id,is_original' rows; returns (group_of, is_original)."""
-    entries = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        for lineno, record in enumerate(reader, start=1):
-            if not record or (len(record) == 1 and not record[0].strip()):
-                continue
-            if lineno == 1 and record[0].strip().lower() == "row_index":
-                continue
-            if len(record) != 3:
-                raise ParseError(f"{path}:{lineno}: expected 3 columns")
-            try:
-                idx = int(record[0])
-                flag = int(record[2])
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: could not parse {record!r}")
-            if flag not in (0, 1):
-                raise ParseError(f"{path}:{lineno}: is_original must be 0 or 1")
-            entries[idx] = (record[1].strip(), bool(flag))
-    if not entries:
-        raise ParseError(f"{path}: no data rows")
-    n = max(entries) + 1
-    if set(entries) != set(range(n)):
-        raise ParseError(f"{path}: row indices must cover 0..{n - 1}")
-    group_of = np.array([entries[i][0] for i in range(n)])
-    is_original = np.array([entries[i][1] for i in range(n)], dtype=bool)
-    return group_of, is_original
+    group_of, flag = _read_keyed_rows(path, (object, np.int64))
+    bad = np.flatnonzero((flag != 0) & (flag != 1))
+    if bad.size:
+        raise ParseError(f"{path}: is_original of row {bad[0]} must be 0 or 1, got {flag[bad[0]]}")
+    return np.char.strip(group_of.astype(str)), flag == 1
 
 
 def read_labels_csv(path) -> np.ndarray:
     """Read 'row_index,label' rows into a dense label vector."""
-    entries = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        for lineno, record in enumerate(reader, start=1):
-            if not record or (len(record) == 1 and not record[0].strip()):
-                continue
-            if lineno == 1 and record[0].strip().lower() == "row_index":
-                continue
-            if len(record) != 2:
-                raise ParseError(f"{path}:{lineno}: expected 2 columns")
-            try:
-                entries[int(record[0])] = int(record[1])
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: could not parse {record!r}")
-    if not entries:
-        raise ParseError(f"{path}: no data rows")
-    n = max(entries) + 1
-    if set(entries) != set(range(n)):
-        raise ParseError(f"{path}: row indices must cover 0..{n - 1}")
-    return np.array([entries[i] for i in range(n)], dtype=int)
+    return _read_keyed_rows(path, (np.int64,))[0]
 
 
 def read_json(path) -> dict:

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    IndexOutOfRange,
     InvalidParameter,
     NonOrthonormalBasis,
     NonSymmetric,
@@ -87,9 +88,10 @@ def validate_metric(spec: FairMetricSpec) -> FairMetricSpec:
             )
         sigma = 0.5 * (sigma + sigma.T)
         eigvals, eigvecs = np.linalg.eigh(sigma)
-        if eigvals[0] < -PSD_TOL:
-            raise NotPSD(f"sigma has negative eigenvalue {eigvals[0]:.6e}")
-        if eigvals[0] < 0.0:
+        lowest = eigvals.min(initial=0.0)  # a 0 x 0 sigma, like euclidean in d = 0
+        if lowest < -PSD_TOL:
+            raise NotPSD(f"sigma has negative eigenvalue {lowest:.6e}")
+        if lowest < 0.0:
             # clamp numerically-indefinite matrices to the PSD cone
             eigvals = np.clip(eigvals, 0.0, None)
             sigma = (eigvecs * eigvals) @ eigvecs.T
@@ -153,6 +155,31 @@ def check_points(spec: FairMetricSpec, X: np.ndarray) -> np.ndarray:
     if dim is not None and X.shape[1] != dim:
         raise DimensionMismatch(f"X has {X.shape[1]} columns, metric dimension is {dim}")
     return X
+
+
+def check_pairs(pairs, n: Optional[int] = None):
+    """Fair-distance pairs as int64 ``i``, ``j`` and float ``d`` arrays.
+
+    ``pairs`` holds (i, j, d) triples, as a sequence or an (m, 3) array.
+    Indices must be integers with i != j, and d finite and >= 0; anything
+    else raises InvalidParameter.  With ``n``, an index outside 0..n-1
+    raises IndexOutOfRange.
+    """
+    P = np.asarray(pairs, dtype=float).reshape(-1, 3)
+    with np.errstate(invalid="ignore"):  # NaN and huge indices cast to garbage, caught below
+        ij = P[:, :2].astype(np.int64)
+    checks = (
+        (np.any(ij != P[:, :2], axis=1), InvalidParameter, "has an index that is not an integer"),
+        (ij[:, 0] == ij[:, 1], InvalidParameter, "joins a point to itself"),
+        (~((P[:, 2] >= 0) & (P[:, 2] < np.inf)), InvalidParameter, "needs a finite distance >= 0"),
+    )
+    if n is not None:
+        checks += ((np.any((ij < 0) | (ij >= n), axis=1), IndexOutOfRange, f"is out of range for n={n}"),)
+    for bad, error, what in checks:
+        if bad.any():
+            i, j, d = P[np.argmax(bad)]
+            raise error(f"pair ({i:g}, {j:g}, {d:g}) {what}")
+    return ij[:, 0], ij[:, 1], P[:, 2]
 
 
 def _fair_distances(sigma, deltas, out: np.ndarray) -> np.ndarray:

@@ -346,9 +346,9 @@ def run_smoothing(yhat: np.ndarray, g: SimilarityGraph, config: SmoothingConfig)
     ``yhat``, one-dimensional included.  For the normalized random-walk
     kind the user lambda is multiplied by the average graph degree
     (recorded in the metadata as ``effective_lambda``).  The kl discrepancy
-    runs the same quadratic solve on natural parameters.  If the
-    closed-form factorization fails, the solver falls back to coordinate
-    descent and notes it.
+    runs the same quadratic solve on natural parameters.  Above
+    ``dense_limit`` the solver falls back to coordinate descent and notes
+    it; an indefinite I + lambda * sym(L) raises NotPositiveDefinite.
     """
     config = config.validate()
     L = make_laplacian(g, config.laplacian_kind)
@@ -379,13 +379,8 @@ def _solve(y, L, config, meta):
         meta["fallback_to_cd"] = True
         meta["fallback_reason"] = f"n={L.n} exceeds dense limit {config.dense_limit}"
     if mode == "closed_form":
-        try:
-            f = smooth_closed_form(y, L, config.lam)
-            meta["epochs_used"] = 0
-            return f, meta
-        except NotPositiveDefinite as exc:
-            meta["fallback_to_cd"] = True
-            meta["fallback_reason"] = str(exc)
+        meta["epochs_used"] = 0
+        return smooth_closed_form(y, L, config.lam), meta
     f, info = smooth_coordinate_descent(y, L, config, return_info=True)
     meta.update(info)
     return f, meta

@@ -77,6 +77,21 @@ class TestConstraints:
         with pytest.raises(InvalidParameter):
             constraints_from_distances([(0, 1, 1.0)], lipschitz=0.0)
 
+    def test_array_and_triples_agree(self):
+        triples = [(3, 1, 2.0), (0, 2, 0.5)]
+        assert constraints_from_distances(np.array(triples), 0.5) == constraints_from_distances(triples, 0.5)
+
+    @pytest.mark.parametrize("lipschitz", [np.inf, np.nan, -1.0])
+    def test_non_finite_lipschitz(self, lipschitz):
+        # L = inf made the bound of a d = 0 pair NaN, and the projection all-NaN
+        with pytest.raises(InvalidParameter):
+            constraints_from_distances([(0, 1, 0.0)], lipschitz=lipschitz)
+
+    @pytest.mark.parametrize("pair", [(0, 1, np.nan), (0, 1, -1.0), (0, 1.5, 1.0), (2, 2, 1.0)])
+    def test_invalid_pair(self, pair):
+        with pytest.raises(InvalidParameter):
+            constraints_from_distances([(0, 1, 1.0), pair], lipschitz=1.0)
+
     def test_constraint_validation(self):
         with pytest.raises(InvalidParameter):
             LipschitzConstraint(i=2, j=1, bound=1.0)
@@ -156,6 +171,17 @@ class TestGlobalProjection:
         with pytest.raises(IndexOutOfRange):
             global_if_project(np.zeros(2), [LipschitzConstraint(0, 5, 1.0)])
 
+    @pytest.mark.parametrize(
+        "options", [{"tol": np.nan}, {"tol": np.inf}, {"tol": 0.0}, {"max_iter": 0}]
+    )
+    def test_loop_parameters_rejected(self, options):
+        with pytest.raises(InvalidParameter):
+            global_if_project(np.array([0.0, 10.0]), [LipschitzConstraint(0, 1, 0.1)], **options)
+
+    def test_non_finite_outputs_rejected(self):
+        with pytest.raises(InvalidParameter):
+            global_if_project(np.array([0.0, np.nan]), [LipschitzConstraint(0, 1, 0.1)])
+
     def test_not_converged_reports_violation(self):
         y = np.array([0.0, 10.0])
         with pytest.raises(NotConverged, match="violation"):
@@ -181,3 +207,26 @@ class TestCountViolations:
             np.array([0.0, 100.0]), [LipschitzConstraint(0, 1, 0.5)], slack=np.inf
         )
         assert out == []
+
+    def test_matches_per_constraint_loop_in_input_order(self):
+        rng = np.random.default_rng(44)
+        f = rng.normal(size=(8, 3))
+        cons = [
+            LipschitzConstraint(i, j, float(rng.uniform(0.0, 2.0)))
+            for i in range(8)
+            for j in range(i + 1, 8)
+        ]
+        rng.shuffle(cons)
+        expected = []
+        for c in cons:
+            excess = float(np.linalg.norm(f[c.i] - f[c.j])) - c.bound
+            if excess > 0.1:
+                expected.append((c.i, c.j, excess))
+        out = count_violations(f, cons, slack=0.1)
+        assert [(i, j) for i, j, _ in out] == [(i, j) for i, j, _ in expected]
+        assert np.allclose([e for _, _, e in out], [e for _, _, e in expected], rtol=1e-15, atol=0)
+        assert all(type(i) is int and type(j) is int and type(e) is float for i, j, e in out)
+
+    def test_out_of_range_constraint(self):
+        with pytest.raises(IndexOutOfRange):
+            count_violations(np.zeros(2), [LipschitzConstraint(0, 5, 1.0)])

@@ -257,6 +257,28 @@ def json_key(name):
     return "lambda" if name == "lam" else name
 
 
+def test_smooth_indefinite_system_exit_code_2(tmp_path, capsys):
+    # sym(L_nrw) of this graph is indefinite at lambda = 1e9 (see
+    # test_closed_form_raises_on_indefinite_system); no output is written
+    rng = np.random.default_rng(34)
+    graph = build_graph(tmp_path, rng.normal(size=(10, 2)))
+    out = tmp_path / "smoothed.csv"
+    code = main(
+        [
+            "smooth",
+            "--graph", graph,
+            "--outputs", write_outputs(tmp_path, rng.normal(size=10)),
+            "--lambda", "1e9",
+            "--laplacian", "normalized_random_walk",
+            "--no-nrw-lambda-scaling",
+            "--out", str(out),
+        ]
+    )
+    assert code == 2
+    assert_one_error_line(capsys, "NotPositiveDefinite")
+    assert not out.exists()
+
+
 class TestSmoothConfig:
     @pytest.fixture
     def run(self, tmp_path, monkeypatch):
@@ -424,6 +446,33 @@ class TestInductive:
         assert "IndexOutOfRange" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "rows, yhat_new, error",
+        [
+            ("0\t0.5\n1\t0.5\n0\t1.0\n", "0.0", "ParseError"),  # the last row used to win
+            ("0\tnan\n", "0.0", "InvalidParameter"),  # printed nan
+            ("0\t-0.5\n", "0.0", "InvalidParameter"),  # printed -1 for outputs in [0, 1]
+            ("0\tinf\n", "0.0", "InvalidParameter"),
+            ("0\t1.0\n", "nan", "InvalidParameter"),
+        ],
+    )
+    def test_invalid_weights_rejected(self, tmp_path, capsys, rows, yhat_new, error):
+        fitted = write_outputs(tmp_path, np.array([[1.0], [0.0]]), "fitted.csv")
+        weights = tmp_path / "weights.tsv"
+        weights.write_text(rows)
+        code = main(
+            [
+                "smooth-inductive",
+                "--fitted", fitted,
+                "--weights", str(weights),
+                "--yhat-new", yhat_new,
+                "--lambda", "1.0",
+            ]
+        )
+        assert code == 1
+        assert_one_error_line(capsys, error)
+
+
 class TestBaseline:
     def test_two_point_projection(self, tmp_path):
         distances = tmp_path / "dist.tsv"
@@ -474,6 +523,37 @@ class TestBaseline:
         )
         assert code == 2
         assert "NotConverged" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "distances, y, flags",
+        [
+            ("0\t1\tnan\n", [[0.0], [1.0]], []),
+            ("0\t1\t0.0\n", [[0.0], [1.0]], ["--lipschitz", "inf"]),
+            ("0\t1\t1.0\n", [[0.0], [np.nan]], []),
+            ("0\t1\t1.0\n", [[0.0], [1.0]], ["--tol", "nan"]),
+            ("0\t1\t1.0\n", [[0.0], [1.0]], ["--tol", "0"]),
+            ("0\t1\t1.0\n", [[0.0], [1.0]], ["--max-iter", "0"]),
+        ],
+    )
+    def test_invalid_input_exit_code_1(self, tmp_path, capsys, distances, y, flags):
+        # each of these wrote all-NaN outputs with exit 0, or ran to exit 2
+        path = tmp_path / "dist.tsv"
+        path.write_text(distances)
+        out = tmp_path / "projected.csv"
+        code = main(
+            [
+                "baseline", "project",
+                "--distances", str(path),
+                "--outputs", write_outputs(tmp_path, np.array(y)),
+                "--lipschitz", "0.5",
+                "--out", str(out),
+            ]
+            + flags
+        )
+        assert code == 1
+        assert_one_error_line(capsys, "InvalidParameter")
+        assert not out.exists()
 
 
 class TestEval:
@@ -534,6 +614,54 @@ class TestEval:
         assert code == 1
         assert_one_error_line(capsys, "ParseError")
 
+    @pytest.mark.parametrize(
+        "row, error",
+        [
+            ("0\t2\t1.0", "IndexOutOfRange"),  # was an IndexError traceback
+            ("-1\t1\t1.0", "IndexOutOfRange"),  # wrapped to the last row
+            ("0\t1\tnan", "InvalidParameter"),  # wrote NaN into report.json
+            ("0\t1\t-1.0", "InvalidParameter"),  # fell out of every bin
+            ("1\t1\t1.0", "InvalidParameter"),
+        ],
+    )
+    def test_invalid_distance_rejected(self, tmp_path, capsys, row, error):
+        outputs = write_outputs(tmp_path, np.array([[0.9], [0.1]]))
+        groups = tmp_path / "groups.csv"
+        groups.write_text("row_index,group_id,is_original\n0,a,1\n1,b,1\n")
+        distances = tmp_path / "dist.tsv"
+        distances.write_text(f"0\t1\t1.0\n{row}\n")
+        out = tmp_path / "report.json"
+        code = main(
+            ["eval", "--outputs", outputs, "--groups", str(groups),
+             "--distances", str(distances), "--lipschitz", "1.0", "--out", str(out)]
+        )
+        assert code == 1
+        assert_one_error_line(capsys, error)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "groups_text, labels_text",
+        [
+            ("0,a,1\n1,b,1\n1,a,0\n", "0,1\n1,0\n"),
+            ("0,a,1\n1,b,1\n", "0,1\n1,0\n0,0\n"),
+        ],
+    )
+    def test_duplicate_row_index_rejected(self, tmp_path, capsys, groups_text, labels_text):
+        # the last row used to win
+        outputs = write_outputs(tmp_path, np.array([[0.9], [0.1]]))
+        groups = tmp_path / "groups.csv"
+        groups.write_text(groups_text)
+        labels = tmp_path / "labels.csv"
+        labels.write_text(labels_text)
+        out = tmp_path / "report.json"
+        code = main(
+            ["eval", "--outputs", outputs, "--groups", str(groups),
+             "--labels", str(labels), "--out", str(out)]
+        )
+        assert code == 1
+        assert_one_error_line(capsys, "ParseError")
+        assert not out.exists()
+
     def test_distances_require_lipschitz(self, tmp_path, capsys):
         outputs = write_outputs(tmp_path, np.array([[0.9], [0.1]]))
         groups = tmp_path / "groups.csv"
@@ -585,6 +713,14 @@ class TestCheckLimits:
         assert main(args + ["--out", out1]) == 0
         assert main(args + ["--out", out2]) == 0
         assert open(out1, "rb").read() == open(out2, "rb").read()
+
+
+    def test_stdout_matches_file(self, tmp_path, capsys):
+        args = ["check", "limits", "--n-grid", "20,40", "--seeds", "5,6"]
+        out = tmp_path / "limits.csv"
+        assert main(args + ["--out", str(out)]) == 0
+        assert main(args) == 0
+        assert capsys.readouterr().out == out.read_text()
 
 
 class TestAggregate:

@@ -14,6 +14,7 @@ from fairsmooth.errors import (
     EmptyGroup,
     EmptyPairs,
     EmptySubset,
+    IndexOutOfRange,
     InvalidParameter,
     NoLabels,
 )
@@ -206,6 +207,20 @@ class TestViolationHistogram:
     def test_empty_pairs_rejected(self):
         with pytest.raises(EmptyPairs):
             violation_histogram(np.array([0.0]), [], lipschitz=1.0)
+
+    @pytest.mark.parametrize(
+        "pair, error",
+        [
+            ((0, 2, 1.0), IndexOutOfRange),  # index n
+            ((-1, 1, 1.0), IndexOutOfRange),  # used to wrap to the last row
+            ((0, 1, np.nan), InvalidParameter),  # used to make every bin edge NaN
+            ((0, 1, -1.0), InvalidParameter),  # used to fall out of every bin
+            ((1, 1, 1.0), InvalidParameter),
+        ],
+    )
+    def test_invalid_pair_rejected(self, pair, error):
+        with pytest.raises(error):
+            violation_histogram(np.array([0.0, 1.0]), [(0, 1, 1.0), pair], lipschitz=1.0)
 
     def test_invalid_parameters(self):
         with pytest.raises(InvalidParameter):

@@ -5,32 +5,40 @@ import pytest
 
 from fairsmooth import io, read_edge_list
 from fairsmooth.cli import _read_weight_rows
-from fairsmooth.errors import ParseError
-from fairsmooth.io import read_matrix_csv, read_pairs_tsv, read_table, write_matrix_csv
+from fairsmooth.errors import IndexOutOfRange, ParseError
+from fairsmooth.io import (
+    read_groups_csv,
+    read_labels_csv,
+    read_matrix_csv,
+    read_pairs_tsv,
+    read_table,
+    write_matrix_csv,
+)
 
 
 class TestReadPairsTsv:
     def test_without_header(self, tmp_path):
         path = tmp_path / "pairs.tsv"
         path.write_text("0\t1\t0.5\n2\t1\t1e-3\n")
-        assert read_pairs_tsv(path) == [(0, 1, 0.5), (2, 1, 0.001)]
+        assert np.array_equal(read_pairs_tsv(path), [[0, 1, 0.5], [2, 1, 0.001]])
 
     def test_hash_lines_are_comments(self, tmp_path):
         path = tmp_path / "pairs.tsv"
         path.write_text("# i\tj\td\n0\t1\t0.5\n# more\n\n1\t2\t2.0\n")
         pairs = read_pairs_tsv(path)
-        assert pairs == [(0, 1, 0.5), (1, 2, 2.0)]
-        assert all(type(i) is int and type(j) is int and type(d) is float for i, j, d in pairs)
+        assert np.array_equal(pairs, [[0, 1, 0.5], [1, 2, 2.0]])
+        assert pairs.shape == (2, 3) and pairs.dtype == float
 
     def test_one_row(self, tmp_path):
         path = tmp_path / "pairs.tsv"
         path.write_text("3\t4\t0.25")
-        assert read_pairs_tsv(path) == [(3, 4, 0.25)]
+        assert np.array_equal(read_pairs_tsv(path), [[3, 4, 0.25]])
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "pairs.tsv"
         path.write_text("# nothing yet\n")
-        assert read_pairs_tsv(path) == []
+        pairs = read_pairs_tsv(path)
+        assert pairs.shape == (0, 3) and len(pairs) == 0
 
     def test_bad_row_reports_its_line(self, tmp_path):
         path = tmp_path / "pairs.tsv"
@@ -43,6 +51,82 @@ class TestReadPairsTsv:
         path.write_text("0\t1\t0.5\n1.5\t2\t0.5\n")
         with pytest.raises(ParseError, match=":2: could not parse"):
             read_pairs_tsv(path)
+
+
+class TestReadGroupsCsv:
+    def test_quoted_ids_whitespace_and_row_order(self, tmp_path):
+        path = tmp_path / "groups.csv"
+        path.write_text('row_index,group_id,is_original\n2, b ,1\n0,"a,b",1\n\n1,"a,b",0\n')
+        group_of, is_original = read_groups_csv(path)
+        assert group_of.tolist() == ["a,b", "a,b", "b"] and group_of.dtype.kind == "U"
+        assert is_original.tolist() == [True, False, True]
+
+    def test_without_header(self, tmp_path):
+        path = tmp_path / "groups.csv"
+        path.write_text("0,g0,1\n1,g0,0\n")
+        group_of, is_original = read_groups_csv(path)
+        assert group_of.tolist() == ["g0", "g0"] and is_original.tolist() == [True, False]
+
+    def test_duplicate_index_names_its_line(self, tmp_path):
+        path = tmp_path / "groups.csv"
+        path.write_text("row_index,group_id,is_original\n0,a,1\n1,b,1\n0,c,1\n")
+        with pytest.raises(ParseError, match=r":4: row index 0 names a row already named"):
+            read_groups_csv(path)
+
+    def test_gap_names_its_line(self, tmp_path):
+        path = tmp_path / "groups.csv"
+        path.write_text("row_index,group_id,is_original\n0,a,1\n2,b,1\n")
+        with pytest.raises(IndexOutOfRange, match=r":3: row index 2 is outside 0..1"):
+            read_groups_csv(path)
+
+    def test_flag_must_be_zero_or_one(self, tmp_path):
+        path = tmp_path / "groups.csv"
+        path.write_text("row_index,group_id,is_original\n1,a,2\n0,a,1\n")
+        with pytest.raises(ParseError, match="is_original of row 1 must be 0 or 1"):
+            read_groups_csv(path)
+
+    def test_bad_row_reports_its_line(self, tmp_path):
+        path = tmp_path / "groups.csv"
+        path.write_text("row_index,group_id,is_original\n0,a,1\nx,b,1\n")
+        with pytest.raises(ParseError, match=":3: could not parse"):
+            read_groups_csv(path)
+        path.write_text("0,a,1\n1,b\n")
+        with pytest.raises(ParseError, match=":2: expected 3 columns, got 2"):
+            read_groups_csv(path)
+
+    def test_header_only_has_no_data(self, tmp_path):
+        path = tmp_path / "groups.csv"
+        path.write_text("row_index,group_id,is_original\n")
+        with pytest.raises(ParseError, match="no data rows"):
+            read_groups_csv(path)
+
+
+class TestReadLabelsCsv:
+    def test_rows_in_index_order(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("ROW_INDEX,label\n1, 0\n0,1\n2,1\n")
+        labels = read_labels_csv(path)
+        assert labels.tolist() == [1, 0, 1] and labels.dtype == np.int64
+
+    def test_duplicate_index_rejected(self, tmp_path):
+        # the last row used to win
+        path = tmp_path / "labels.csv"
+        path.write_text("0,1\n1,0\n1,1\n")
+        with pytest.raises(ParseError, match=r":3: row index 1 names a row already named"):
+            read_labels_csv(path)
+
+    @pytest.mark.parametrize("text", ["0,1\n2,0\n", "-1,1\n0,0\n"])
+    def test_index_outside_rows_rejected(self, tmp_path, text):
+        path = tmp_path / "labels.csv"
+        path.write_text(text)
+        with pytest.raises(IndexOutOfRange, match="is outside 0..1"):
+            read_labels_csv(path)
+
+    def test_non_integer_label_rejected(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("row_index,label\n0,1\n1,0.5\n")
+        with pytest.raises(ParseError, match=":3: could not parse"):
+            read_labels_csv(path)
 
 
 def _loadtxt_with_float_fallback(real):

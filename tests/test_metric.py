@@ -10,9 +10,10 @@ from fairsmooth import (
     pairwise_fair_distances,
     validate_metric,
 )
-from fairsmooth.metric import PAIR_CHUNK, pair_fair_distances
+from fairsmooth.metric import PAIR_CHUNK, check_pairs, pair_fair_distances
 from fairsmooth.errors import (
     DimensionMismatch,
+    IndexOutOfRange,
     InvalidParameter,
     NonOrthonormalBasis,
     NonSymmetric,
@@ -56,6 +57,12 @@ class TestValidateMetric:
         spec = mahalanobis(sigma)
         eig = np.linalg.eigvalsh(spec.sigma)
         assert eig.min() >= 0.0
+
+    def test_zero_dimensional_sigma(self):
+        # as the euclidean kind in d = 0: every distance is 0
+        spec = validate_metric(FairMetricSpec("mahalanobis", sigma=np.zeros((0, 0))))
+        assert spec.sigma.shape == (0, 0)
+        assert np.array_equal(pairwise_fair_distances(spec, np.empty((3, 0))), np.zeros((3, 3)))
 
     def test_unknown_kind(self):
         with pytest.raises(InvalidParameter):
@@ -290,3 +297,32 @@ class TestJsonSpec:
         # a nan sigma used to pass validation and yield a graph with no edges
         with pytest.raises(InvalidParameter, match="non-finite"):
             metric_spec_from_json(obj)
+
+
+class TestCheckPairs:
+    def test_triples_and_array_agree(self):
+        triples = [(0, 2, 0.5), (3, 1, 0.0)]
+        for pairs in (triples, np.array(triples, dtype=float)):
+            i, j, d = check_pairs(pairs, 4)
+            assert i.dtype == j.dtype == np.int64 and d.dtype == float
+            assert i.tolist() == [0, 3] and j.tolist() == [2, 1] and d.tolist() == [0.5, 0.0]
+
+    def test_empty(self):
+        for pairs in ([], np.empty((0, 3))):
+            i, j, d = check_pairs(pairs, 0)
+            assert i.size == j.size == d.size == 0
+
+    @pytest.mark.parametrize(
+        "pair",
+        [(0, 1.5, 1.0), (np.nan, 1, 1.0), (0, 1e19, 1.0), (1, 1, 1.0),
+         (0, 1, np.nan), (0, 1, np.inf), (0, 1, -1.0)],
+    )
+    def test_invalid_pair_rejected(self, pair):
+        with pytest.raises(InvalidParameter):
+            check_pairs([(0, 1, 1.0), pair])
+
+    @pytest.mark.parametrize("pair", [(0, 3, 1.0), (-1, 1, 1.0)])
+    def test_index_outside_n_rejected(self, pair):
+        check_pairs([pair])  # no n, no range check
+        with pytest.raises(IndexOutOfRange, match="out of range for n=3"):
+            check_pairs([pair], 3)

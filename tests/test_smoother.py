@@ -20,6 +20,7 @@ from fairsmooth import (
 from fairsmooth.errors import (
     InvalidParameter,
     InvalidSimplexRow,
+    NotPositiveDefinite,
 )
 from fairsmooth.laplacian import (
     NORMALIZED_RW,
@@ -434,17 +435,19 @@ class TestRunSmoothing:
         _, meta = run_smoothing(rng.normal(size=10), g, config)
         assert meta["effective_lambda"] == 0.5
 
-    def test_closed_form_falls_back_on_indefinite_system(self):
+    def test_closed_form_raises_on_indefinite_system(self):
         # sym(L_nrw) is indefinite on irregular graphs; at huge lambda the
-        # factorization must fail and the driver must hand over to CD
+        # factorization fails, and the driver raises instead of returning
+        # coordinate descent's output, which is no minimizer of an
+        # unbounded objective
         rng = np.random.default_rng(34)
         X = rng.normal(size=(10, 2))
         g = build_similarity_graph(X, EUCLID, theta=0.5, tau=np.inf)
         config = SmoothingConfig(
             lam=1e9, laplacian_kind=NORMALIZED_RW, nrw_lambda_scaling=False
         )
-        _, meta = run_smoothing(rng.normal(size=10), g, config)
-        assert meta["fallback_to_cd"] is True
+        with pytest.raises(NotPositiveDefinite):
+            run_smoothing(rng.normal(size=10), g, config)
 
     def test_dense_limit_forces_cd(self):
         g = graph_from_annotations([(0, 1), (1, 2)], n=3)
