@@ -56,6 +56,7 @@ from .smoother import (
     kl_coordinate_update,
     run_smoothing,
     smooth_closed_form,
+    smooth_conjugate_gradient,
     smooth_coordinate_descent,
     smooth_kl,
     to_natural_params,

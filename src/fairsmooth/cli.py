@@ -178,8 +178,17 @@ def cmd_smooth(args) -> None:
         io.write_json(args.metadata_out, meta)
 
 
+def _read_finite_outputs(path) -> np.ndarray:
+    """Read an outputs CSV; a NaN or infinite entry is rejected, naming its row."""
+    M = io.read_matrix_csv(path)
+    bad = np.flatnonzero(~np.all(np.isfinite(M), axis=1))
+    if bad.size:
+        raise InvalidParameter(f"{path}: row {bad[0]} has a non-finite output")
+    return M
+
+
 def cmd_inductive(args) -> None:
-    fitted = io.read_matrix_csv(args.fitted)
+    fitted = _read_finite_outputs(args.fitted)
     weights = np.zeros(fitted.shape[0])
     idx, w = _read_weight_rows(args.weights)
     io.check_row_indices(args.weights, idx, weights.size, comments=True)
@@ -214,7 +223,7 @@ def cmd_baseline(args) -> None:
 
 
 def cmd_eval(args) -> None:
-    outputs = io.read_matrix_csv(args.outputs)
+    outputs = _read_finite_outputs(args.outputs)
     group_of, is_original = io.read_groups_csv(args.groups)
     grouped = evalmetrics.GroupedPredictions(
         outputs=outputs, group_of=group_of, is_original=is_original

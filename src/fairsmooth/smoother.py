@@ -5,9 +5,11 @@ The post-processing objective is
     g(f) = ||f - yhat||_F^2 + lambda * trace(f^T L f),
 
 whose exact minimizer is f = (I + lambda * (L + L^T)/2)^{-1} yhat, solved
-column-by-column with one shared symmetric factorization.  A Gauss-Seidel
-coordinate-descent solver covers instances too large to factorize, and a
-single coordinate step extends the method to unseen points.
+column-by-column with one shared symmetric factorization or, for the
+unnormalized Laplacian, by a certified preconditioned conjugate gradient on
+the sparse matrix.  A Gauss-Seidel coordinate-descent solver covers
+random-walk instances too large to factorize, and a single coordinate step
+extends the method to unseen points.
 
 For probability outputs, smoothing is done in the natural-parameter space
 eta_j = log(p_j / p_K): by the exponential-family equivalence, quadratic
@@ -18,6 +20,7 @@ lambda of :func:`smooth_kl` plays exactly the same role as in the squared
 mode.
 """
 
+import math
 import numbers
 from dataclasses import dataclass, fields, replace
 
@@ -29,6 +32,7 @@ from .errors import (
     DimensionMismatch,
     InvalidParameter,
     InvalidSimplexRow,
+    NotConverged,
     NotPositiveDefinite,
     ZeroDenominator,
 )
@@ -47,9 +51,14 @@ from .laplacian import (
 PROB_EPS = 1e-12
 SIMPLEX_TOL = 1e-6
 
-# beyond this size the dense factorization is off the table and coordinate
-# descent is mandatory
+# beyond this size the dense factorization is off the table: the
+# unnormalized kind is solved by conjugate gradient and the random-walk kind
+# falls back to coordinate descent
 DEFAULT_DENSE_LIMIT = 10_000
+
+# conjugate gradient raises NotConverged after this many times its textbook
+# iteration bound (see _cg_iteration_bound)
+CG_ITERATION_CAP = 10
 
 
 # config fields declared int or float accept any integral or real number
@@ -68,7 +77,10 @@ class SmoothingConfig:
 
     The JSON keys are the field names, with ``lambda`` for ``lam``.
     ``batch_size`` is accepted and must be >= 1, but the coordinate-descent
-    sweep is sequential, so it does not change the result.
+    sweep is sequential, so it does not change the result.  ``tolerance``
+    bounds the certified residual, relative to max(1, ||y_k||_inf), of
+    conjugate gradient and of the ``converged`` flag, and is the largest
+    coordinate change at which coordinate descent stops.
     """
 
     lam: float = 1.0
@@ -150,6 +162,108 @@ def smooth_closed_form(yhat: np.ndarray, L: LaplacianOperator, lam: float) -> np
         raise NotPositiveDefinite(f"I + lambda*sym(L) is not positive definite: {exc}")
     out = sla.cho_solve(factor, y, check_finite=False)
     return out[:, 0] if squeeze else out
+
+
+def _cg_iteration_bound(L: LaplacianOperator, lam: float, tolerance: float) -> int:
+    """Textbook CG iteration count for I + lambda * L, L unnormalized.
+
+    By Gershgorin the eigenvalues of I + lambda * (D - W) lie in
+    [1, 1 + 2 lambda max_i L_ii], and CG cuts the energy-norm error by at
+    least 2 exp(-2 it / sqrt(kappa)) (Saad, *Iterative Methods for Sparse
+    Linear Systems*, sec. 6.11), below ``tolerance`` after this many steps.
+    """
+    kappa = 1.0 + 2.0 * lam * float(np.max(L.matrix.diagonal(), initial=0.0))
+    return math.ceil(0.5 * math.sqrt(kappa) * math.log(2.0 / tolerance))
+
+
+def _column_bounds(y: np.ndarray, tolerance: float) -> np.ndarray:
+    """Certified residual bound tolerance * max(1, ||y_k||_inf) per column k."""
+    return tolerance * np.maximum(1.0, np.max(np.abs(y), axis=0, initial=0.0))
+
+
+def smooth_conjugate_gradient(
+    yhat: np.ndarray,
+    L: LaplacianOperator,
+    lam: float,
+    tolerance: float,
+    return_info: bool = False,
+):
+    """Certified minimizer (I + lambda * L)^{-1} yhat for the unnormalized kind.
+
+    Jacobi-preconditioned conjugate gradient (preconditioner
+    1 / (1 + lambda * L_ii)) runs all output columns in lockstep, one sparse
+    product ``L.matrix @ P`` per iteration, without forming I + lambda * L.
+    A column stops iterating once its recurrence residual meets its bound;
+    the result is returned only when the recomputed residual
+    r = f - yhat + lambda * L f satisfies
+    ||r_k||_inf <= tolerance * max(1, ||yhat_k||_inf) in every column k.
+    I + lambda * (D - W) is strictly diagonally dominant with a margin of 1
+    in every row, so ||(I + lambda * L)^{-1}||_inf <= 1 (Varah, 1975) and
+    that residual bounds the error ||f - f*||_inf.  Columns that fail the
+    recomputed test restart from it.  NotConverged is raised after
+    CG_ITERATION_CAP times the iteration bound of ``_cg_iteration_bound``,
+    or at once when no failing column can take a step.
+    With ``return_info`` the lockstep iteration count is returned as well.
+    """
+    if L.kind != UNNORMALIZED:
+        raise InvalidParameter("conjugate gradient requires the unnormalized laplacian")
+    _check_lambda(lam)
+    if not tolerance > 0:
+        raise InvalidParameter("tolerance must be positive")
+    y = _as_outputs(yhat, L.n)
+    squeeze = np.asarray(yhat).ndim == 1
+    if lam == 0.0:
+        f, iterations = y.copy(), 0
+    else:
+        cap = CG_ITERATION_CAP * _cg_iteration_bound(L, lam, tolerance)
+        f, iterations = _pcg(y, L.matrix, lam, _column_bounds(y, tolerance), cap)
+    out = f[:, 0] if squeeze else f
+    if return_info:
+        return out, {"iterations": iterations}
+    return out
+
+
+def _pcg(y, A, lam, bound, cap):
+    """Jacobi-preconditioned CG from f = y; returns (f, iterations).
+
+    Columns whose residual is within ``bound``, or whose r.z or p.Ap is no
+    longer a normal positive number (an all-zero column from the start, a
+    residual near underflow later), are frozen with a zero search
+    direction, so no 0/0 or overflow reaches f.
+    """
+    inv_diag = (1.0 / (1.0 + lam * A.diagonal()))[:, None]
+    tiny = np.finfo(float).tiny
+    f = y.copy()
+    iterations = 0
+    while True:
+        r = y - f - lam * (A @ f)
+        # written so that a NaN residual never passes
+        failing = ~(np.max(np.abs(r), axis=0) <= bound)
+        if not failing.any():
+            return f, iterations
+        z = inv_diag * r
+        rz = np.sum(r * z, axis=0)
+        active = failing & (rz >= tiny)
+        if iterations >= cap or not active.any():
+            worst = float(np.max(np.abs(r)))
+            raise NotConverged(
+                f"conjugate gradient residual {worst:.3g} above its bound after {iterations} iterations"
+            )
+        p = np.where(active, z, 0.0)
+        while active.any() and iterations < cap:
+            q = p + lam * (A @ p)
+            pq = np.sum(p * q, axis=0)
+            active &= pq >= tiny
+            alpha = np.divide(rz, pq, out=np.zeros_like(rz), where=active)
+            f += alpha * p
+            r -= alpha * q
+            iterations += 1
+            z = inv_diag * r
+            rz_next = np.sum(r * z, axis=0)
+            active &= (np.max(np.abs(r), axis=0) > bound) & (rz_next >= tiny)
+            beta = np.divide(rz_next, rz, out=np.zeros_like(rz), where=active)
+            p = np.where(active, z + beta * p, 0.0)
+            rz = rz_next
 
 
 def _cd_sweeps(
@@ -259,6 +373,9 @@ def _as_prob_rows(p: np.ndarray) -> np.ndarray:
         p = p[None, :]
     if p.ndim != 2 or p.shape[1] < 2:
         raise DimensionMismatch(f"expected probability rows with K >= 2, got shape {p.shape}")
+    if not np.all(np.isfinite(p)):
+        bad = int(np.nonzero(~np.all(np.isfinite(p), axis=1))[0][0])
+        raise InvalidSimplexRow(f"row {bad} has a non-finite entry")
     if np.any(p < 0):
         bad = int(np.nonzero(np.any(p < 0, axis=1))[0][0])
         raise InvalidSimplexRow(f"row {bad} has a negative entry")
@@ -346,9 +463,19 @@ def run_smoothing(yhat: np.ndarray, g: SimilarityGraph, config: SmoothingConfig)
     ``yhat``, one-dimensional included.  For the normalized random-walk
     kind the user lambda is multiplied by the average graph degree
     (recorded in the metadata as ``effective_lambda``).  The kl discrepancy
-    runs the same quadratic solve on natural parameters.  Above
-    ``dense_limit`` the solver falls back to coordinate descent and notes
-    it; an indefinite I + lambda * sym(L) raises NotPositiveDefinite.
+    runs the same quadratic solve on natural parameters.
+
+    ``mode="closed_form"`` solves exactly.  The unnormalized kind uses the
+    dense Cholesky factorization only when n <= ``dense_limit`` and its
+    n^3/3 + 2 n^2 K flops are at most the conjugate-gradient bound
+    it * (2 nnz(L) + 10 n) * K (``it`` from ``_cg_iteration_bound``), and
+    certified conjugate gradient otherwise.  The random-walk kind uses the
+    Cholesky factorization up to ``dense_limit`` and falls back to
+    coordinate descent above it, noted as ``fallback_to_cd``; an indefinite
+    I + lambda * sym(L) raises NotPositiveDefinite.  The metadata names the
+    ``solver`` that ran, its ``iterations`` (CG iterations, CD epochs, 0 for
+    Cholesky), the ``residual`` max |f - y + lambda sym(L) f| and whether
+    it ``converged``: |r_k| <= tolerance * max(1, |y_k|) in every column k.
     """
     config = config.validate()
     L = make_laplacian(g, config.laplacian_kind)
@@ -366,21 +493,40 @@ def run_smoothing(yhat: np.ndarray, g: SimilarityGraph, config: SmoothingConfig)
     kl = config.discrepancy == "kl"
     y = to_natural_params(np.atleast_2d(yhat)) if kl else _as_outputs(yhat, L.n)
     f, meta = _solve(y, L, replace(config, lam=lam, nrw_lambda_scaling=False), meta)
-    meta["residual"] = float(np.max(np.abs(f - y + lam * apply_symmetrized(L, f))))
+    r = np.abs(f - y + lam * apply_symmetrized(L, f))
+    meta["residual"] = float(np.max(r))
+    meta["converged"] = bool(np.all(np.max(r, axis=0) <= _column_bounds(y, config.tolerance)))
     if kl:
         return from_natural_params(f), meta
     return (f[:, 0] if np.ndim(yhat) == 1 else f), meta
 
 
+def _solver_for(y, L, config):
+    """'cholesky', 'cg' or 'coordinate_descent', by the rule in run_smoothing."""
+    n, k = y.shape
+    if config.mode == "coordinate_descent":
+        return "coordinate_descent"
+    if L.kind == UNNORMALIZED:
+        it = _cg_iteration_bound(L, config.lam, config.tolerance)
+        cholesky_flops = n**3 / 3 + 2 * n * n * k
+        cg_flops = it * (2 * L.matrix.nnz + 10 * n) * k
+        return "cholesky" if n <= config.dense_limit and cholesky_flops <= cg_flops else "cg"
+    return "cholesky" if n <= config.dense_limit else "coordinate_descent"
+
+
 def _solve(y, L, config, meta):
-    mode = config.mode
-    if mode == "closed_form" and L.n > config.dense_limit:
-        mode = "coordinate_descent"
+    solver = _solver_for(y, L, config)
+    meta.update(solver=solver, epochs_used=0, iterations=0)
+    if solver == "coordinate_descent" and config.mode == "closed_form":
         meta["fallback_to_cd"] = True
         meta["fallback_reason"] = f"n={L.n} exceeds dense limit {config.dense_limit}"
-    if mode == "closed_form":
-        meta["epochs_used"] = 0
+    if solver == "cholesky":
+        # called through the module global, where tracers wrap it
         return smooth_closed_form(y, L, config.lam), meta
-    f, info = smooth_coordinate_descent(y, L, config, return_info=True)
+    if solver == "cg":
+        f, info = smooth_conjugate_gradient(y, L, config.lam, config.tolerance, return_info=True)
+    else:
+        f, info = smooth_coordinate_descent(y, L, config, return_info=True)
+        info["iterations"] = info["epochs_used"]
     meta.update(info)
     return f, meta

@@ -472,6 +472,23 @@ class TestInductive:
         assert code == 1
         assert_one_error_line(capsys, error)
 
+    def test_non_finite_fitted_rejected(self, tmp_path, capsys):
+        # printed nan with exit 0, although row 0 has weight 0
+        fitted = write_outputs(tmp_path, np.array([[np.nan], [1.0]]), "fitted.csv")
+        weights = tmp_path / "weights.tsv"
+        weights.write_text("1\t1.0\n")
+        code = main(
+            [
+                "smooth-inductive",
+                "--fitted", fitted,
+                "--weights", str(weights),
+                "--yhat-new", "0.5",
+                "--lambda", "1.0",
+            ]
+        )
+        assert code == 1
+        assert_one_error_line(capsys, "InvalidParameter")
+
 
 class TestBaseline:
     def test_two_point_projection(self, tmp_path):
@@ -660,6 +677,23 @@ class TestEval:
         )
         assert code == 1
         assert_one_error_line(capsys, "ParseError")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_outputs_rejected(self, tmp_path, capsys, bad):
+        # a NaN pair counted as not violated and a NaN row as class 0, exit 0
+        outputs = write_outputs(tmp_path, np.array([[0.9], [bad]]))
+        groups = tmp_path / "groups.csv"
+        groups.write_text("row_index,group_id,is_original\n0,a,1\n1,b,1\n")
+        distances = tmp_path / "dist.tsv"
+        distances.write_text("0\t1\t1.0\n")
+        out = tmp_path / "report.json"
+        code = main(
+            ["eval", "--outputs", outputs, "--groups", str(groups),
+             "--distances", str(distances), "--lipschitz", "1.0", "--out", str(out)]
+        )
+        assert code == 1
+        assert_one_error_line(capsys, "InvalidParameter")
         assert not out.exists()
 
     def test_distances_require_lipschitz(self, tmp_path, capsys):

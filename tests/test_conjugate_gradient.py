@@ -1,0 +1,174 @@
+"""Certified conjugate gradient for the unnormalized Laplacian.
+
+The oracle is a dense ``np.linalg.solve`` of (I + lambda * L) f = y on sparse
+k-d-tree graphs.  I + lambda * (D - W) is strictly diagonally dominant with
+margin 1, so ||A^{-1}||_inf <= 1 and any f's error is at most its residual:
+|f - f_ref|_inf <= tolerance * max(1, |y|_inf) (the certificate) plus the
+reference's own residual, plus the rounding of evaluating both residuals.
+"""
+
+import numpy as np
+import pytest
+
+from fairsmooth import (
+    FairMetricSpec,
+    SmoothingConfig,
+    build_similarity_graph,
+    run_smoothing,
+    smooth_conjugate_gradient,
+    to_natural_params,
+    validate_metric,
+)
+from fairsmooth.cli import main
+from fairsmooth.errors import InvalidParameter, NotConverged
+from fairsmooth.graph import SimilarityGraph, write_edge_list
+from fairsmooth.io import write_matrix_csv
+from fairsmooth.laplacian import NORMALIZED_RW, UNNORMALIZED, make_laplacian
+
+EUCLID = validate_metric(FairMetricSpec("euclidean"))
+EPS = np.finfo(float).eps
+TOL = SmoothingConfig().tolerance
+
+
+def kdtree_graph(n, seed, box=5.0, dim=3, tau=1.0):
+    """Points uniform in [0, box]^dim joined within Euclidean distance tau."""
+    X = np.random.default_rng(seed).uniform(0.0, box, size=(n, dim))
+    return build_similarity_graph(X, EUCLID, theta=1.0, tau=tau)
+
+
+def dense_reference(L, lam, y):
+    """np.linalg.solve of the dense system and the max-norm of its residual."""
+    A = np.eye(L.n) + lam * L.matrix.toarray()
+    f = np.linalg.solve(A, y)
+    return f, float(np.max(np.abs(A @ f - y)))
+
+
+def rounding(L, lam, y):
+    """A bound on the rounding of one residual evaluation, |A| |f| ulps."""
+    return 64 * EPS * (1.0 + 2.0 * lam * float(L.matrix.diagonal().max())) * max(1.0, float(np.max(np.abs(y))))
+
+
+def error_bound(L, lam, y, ref_residual):
+    """Certificate + reference residual + rounding of two residual evaluations."""
+    return TOL * max(1.0, float(np.max(np.abs(y)))) + ref_residual + 2 * rounding(L, lam, y)
+
+
+@pytest.fixture(scope="module")
+def graph_1500():
+    return kdtree_graph(1500, seed=0)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_matches_dense_solve(graph_1500, k):
+    L = make_laplacian(graph_1500, UNNORMALIZED)
+    rng = np.random.default_rng(1)
+    y = rng.normal(size=1500) if k == 1 else rng.normal(size=(1500, k))
+    f, info = smooth_conjugate_gradient(y, L, 2.0, TOL, return_info=True)
+    assert f.shape == y.shape
+    assert info["iterations"] > 0
+    ref, ref_residual = dense_reference(L, 2.0, y)
+    assert np.max(np.abs(f - ref)) <= error_bound(L, 2.0, y, ref_residual)
+    # the certificate itself, evaluated independently
+    residual = np.abs(f - y + 2.0 * (L.matrix.toarray() @ f)).reshape(1500, -1)
+    bound = TOL * np.maximum(1.0, np.abs(y).reshape(1500, -1).max(axis=0))
+    assert np.all(residual.max(axis=0) <= bound + rounding(L, 2.0, y))
+
+
+def test_rerun_byte_identical(graph_1500):
+    L = make_laplacian(graph_1500, UNNORMALIZED)
+    y = np.random.default_rng(2).normal(size=(1500, 2))
+    assert smooth_conjugate_gradient(y, L, 1.0, TOL).tobytes() == smooth_conjugate_gradient(y, L, 1.0, TOL).tobytes()
+
+
+def test_kl_through_run_smoothing(graph_1500):
+    rng = np.random.default_rng(3)
+    p = rng.dirichlet(np.ones(3), size=1500)
+    out, meta = run_smoothing(p, graph_1500, SmoothingConfig(lam=1.5, discrepancy="kl"))
+    assert (meta["solver"], meta["converged"]) == ("cg", True)
+    assert np.allclose(out.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    L = make_laplacian(graph_1500, UNNORMALIZED)
+    eta = to_natural_params(p)
+    ref, ref_residual = dense_reference(L, 1.5, eta)
+    # the softmax and log of the round trip add a few ulps of max(1, |eta|)
+    round_trip = 64 * EPS * max(1.0, float(np.max(np.abs(eta))))
+    assert np.max(np.abs(to_natural_params(out) - ref)) <= error_bound(L, 1.5, eta, ref_residual) + round_trip
+
+
+def test_lambda_zero_returns_copy(graph_1500):
+    L = make_laplacian(graph_1500, UNNORMALIZED)
+    y = np.random.default_rng(4).normal(size=(1500, 2))
+    f, info = smooth_conjugate_gradient(y, L, 0.0, TOL, return_info=True)
+    assert np.array_equal(f, y) and f is not y
+    assert info["iterations"] == 0
+
+
+def test_zero_column_stays_zero(graph_1500):
+    # an all-zero column has r.z = 0 from the start; it must not turn into 0/0
+    L = make_laplacian(graph_1500, UNNORMALIZED)
+    y = np.random.default_rng(5).normal(size=(1500, 2))
+    y[:, 1] = 0.0
+    f = smooth_conjugate_gradient(y, L, 3.0, TOL)
+    assert np.all(f[:, 1] == 0.0)
+    ref, ref_residual = dense_reference(L, 3.0, y)
+    assert np.max(np.abs(f - ref)) <= error_bound(L, 3.0, y, ref_residual)
+
+
+def test_requires_unnormalized(graph_1500):
+    with pytest.raises(InvalidParameter):
+        smooth_conjugate_gradient(np.zeros(1500), make_laplacian(graph_1500, NORMALIZED_RW), 1.0, TOL)
+
+
+def test_tiny_tolerance_not_converged():
+    g = kdtree_graph(40, seed=6, box=2.0, dim=2)
+    y = np.random.default_rng(6).normal(size=40)
+    with pytest.raises(NotConverged):
+        smooth_conjugate_gradient(y, make_laplacian(g, UNNORMALIZED), 1.0, 1e-300)
+
+
+def test_underflowing_residual_raises():
+    # r.z underflows before the residual meets a 1e-300 bound: no step can be
+    # taken, so the solve stops at once instead of restarting forever
+    g = kdtree_graph(40, seed=6, box=2.0, dim=2)
+    y = 1e-160 * np.random.default_rng(6).normal(size=40)
+    with pytest.raises(NotConverged, match="after 0 iterations"):
+        smooth_conjugate_gradient(y, make_laplacian(g, UNNORMALIZED), 1.0, 1e-300)
+
+
+class TestDispatch:
+    def test_selfcheck_sized_graph_uses_cholesky(self):
+        # the benchmark self-check's graph: 30 points in the unit square, d <= 0.4
+        rng = np.random.default_rng(7)
+        X = rng.uniform(size=(30, 2))
+        i, j = np.triu_indices(30, 1)
+        d = np.linalg.norm(X[i] - X[j], axis=1)
+        keep = d <= 0.4
+        g = SimilarityGraph(n=30, rows=i[keep], cols=j[keep], weights=np.exp(-d[keep] ** 2))
+        _, meta = run_smoothing(rng.uniform(size=30), g, SmoothingConfig(lam=2.0))
+        assert (meta["solver"], meta["iterations"], meta["converged"]) == ("cholesky", 0, True)
+
+    def test_pipeline_sized_graph_uses_cg(self):
+        # 2500 points at an average degree near 125, as in the file-to-file pipeline
+        g = kdtree_graph(2500, seed=8, box=2.775, dim=4)
+        assert g.num_edges > 100_000
+        y = np.random.default_rng(8).uniform(size=2500)
+        f, meta = run_smoothing(y, g, SmoothingConfig(lam=1.0))
+        assert (meta["solver"], meta["converged"], meta["fallback_to_cd"]) == ("cg", True, False)
+        assert meta["iterations"] > 0 and meta["epochs_used"] == 0
+        assert meta["residual"] <= TOL * max(1.0, float(np.max(np.abs(y))))
+
+
+def test_cli_tiny_tolerance_exit_code_2(tmp_path, capsys):
+    g = kdtree_graph(40, seed=9, box=2.0, dim=2)
+    graph = tmp_path / "graph.tsv"
+    write_edge_list(g, graph)
+    outputs = tmp_path / "outputs.csv"
+    write_matrix_csv(outputs, np.random.default_rng(9).normal(size=(40, 1)))
+    config = tmp_path / "config.json"
+    config.write_text('{"dense_limit": 0}')
+    out = tmp_path / "smoothed.csv"
+    code = main(["smooth", "--graph", str(graph), "--outputs", str(outputs), "--config", str(config),
+                 "--tolerance", "1e-300", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: NotConverged: ")
+    assert not out.exists()

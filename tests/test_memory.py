@@ -1,7 +1,9 @@
-"""Memory guard: graph build and the limits check hold no n x n array.
+"""Memory guard: graph build, smoothing and the limits check hold no n x n array.
 
 Peak numpy allocation, as tracemalloc sees it, must stay below one n x n
-float64 array at n = 3000 (72 MB): the row-block products are O(block * n).
+float64 array at n = 3000 (72 MB): the row-block products are O(block * n),
+and smoothing on a sparse graph runs conjugate gradient on the sparse
+Laplacian.
 """
 
 import tracemalloc
@@ -10,9 +12,11 @@ import numpy as np
 
 from fairsmooth import (
     FairMetricSpec,
+    SmoothingConfig,
     SyntheticSpec,
     build_similarity_graph,
     convergence_report,
+    run_smoothing,
     validate_metric,
 )
 
@@ -37,6 +41,16 @@ def test_graph_build_below_one_dense_array():
     )
     g, peak = peak_bytes(lambda: build_similarity_graph(X, metric, theta=1.0, tau=1.0))
     assert g.num_edges > 10 * N
+    assert peak < DENSE_BYTES
+
+
+def test_run_smoothing_below_one_dense_array():
+    rng = np.random.default_rng(1)
+    X = rng.uniform(0.0, 5.0, size=(N, 3))
+    g = build_similarity_graph(X, validate_metric(FairMetricSpec("euclidean")), theta=1.0, tau=1.0)
+    y = rng.uniform(size=(N, 2))
+    (f, meta), peak = peak_bytes(lambda: run_smoothing(y, g, SmoothingConfig(lam=1.0)))
+    assert meta["converged"] and f.shape == (N, 2)
     assert peak < DENSE_BYTES
 
 

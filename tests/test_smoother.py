@@ -283,6 +283,11 @@ class TestNaturalParams:
         with pytest.raises(InvalidSimplexRow):
             to_natural_params(np.array([1.2, -0.2]))
 
+    def test_non_finite_entry_rejected(self):
+        # a NaN row passed the sum check (NaN > tol is False) and was smoothed
+        with pytest.raises(InvalidSimplexRow, match="row 1"):
+            to_natural_params(np.array([[0.5, 0.5], [np.nan, 0.5]]))
+
 
 class TestKLSmoothing:
     def test_lambda_zero_round_trip(self):
@@ -450,10 +455,20 @@ class TestRunSmoothing:
             run_smoothing(rng.normal(size=10), g, config)
 
     def test_dense_limit_forces_cd(self):
+        # only the random-walk kind falls back to coordinate descent
+        g = graph_from_annotations([(0, 1), (1, 2)], n=3)
+        config = SmoothingConfig(lam=1.0, laplacian_kind=NORMALIZED_RW, dense_limit=2)
+        _, meta = run_smoothing(np.array([0.0, 1.0, 2.0]), g, config)
+        assert meta["fallback_to_cd"] is True
+        assert meta["solver"] == "coordinate_descent"
+
+    def test_dense_limit_selects_cg_for_unnormalized(self):
         g = graph_from_annotations([(0, 1), (1, 2)], n=3)
         config = SmoothingConfig(lam=1.0, dense_limit=2)
         _, meta = run_smoothing(np.array([0.0, 1.0, 2.0]), g, config)
-        assert meta["fallback_to_cd"] is True
+        assert meta["fallback_to_cd"] is False
+        assert meta["solver"] == "cg"
+        assert meta["converged"] is True
 
     def test_metadata_residual_small_for_closed_form(self):
         rng = np.random.default_rng(35)
@@ -495,9 +510,12 @@ class TestRunSmoothingShapes:
         assert meta["residual"] < 1e-8
 
     def test_coordinate_descent_fallback_one_dimensional(self):
+        # only the random-walk kind falls back to coordinate descent
         rng, g = self.instance()
         y = rng.normal(size=12)
-        config = SmoothingConfig(lam=0.7, dense_limit=2, epochs=200, tolerance=1e-13)
+        config = SmoothingConfig(
+            lam=0.7, laplacian_kind=NORMALIZED_RW, dense_limit=2, epochs=200, tolerance=1e-13
+        )
         f, meta = run_smoothing(y, g, config)
         assert meta["fallback_to_cd"] is True
         assert f.shape == (12,)
@@ -505,6 +523,17 @@ class TestRunSmoothingShapes:
         assert np.array_equal(f, f2[:, 0])
         # the residual is measured before the column is squeezed away
         assert meta["residual"] == meta2["residual"] < 1e-8
+
+    def test_conjugate_gradient_one_dimensional(self):
+        rng, g = self.instance()
+        y = rng.normal(size=12)
+        config = SmoothingConfig(lam=0.7, dense_limit=2)
+        f, meta = run_smoothing(y, g, config)
+        assert (meta["solver"], meta["converged"], meta["fallback_to_cd"]) == ("cg", True, False)
+        assert f.shape == (12,)
+        f2, meta2 = run_smoothing(y[:, None], g, config)
+        assert np.array_equal(f, f2[:, 0])
+        assert meta["residual"] == meta2["residual"] <= config.tolerance * max(1.0, np.max(np.abs(y)))
 
     def test_two_dimensional_unchanged(self):
         rng, g = self.instance()
