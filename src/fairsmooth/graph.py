@@ -56,17 +56,58 @@ class SimilarityGraph:
         ]
 
     def adjacency(self) -> sparse.csr_matrix:
-        """Full symmetric weight matrix W as sparse CSR."""
-        i = np.concatenate([self.rows, self.cols])
-        j = np.concatenate([self.cols, self.rows])
+        """Full symmetric weight matrix W as sparse CSR.
+
+        Edges in the documented order are the upper triangle in CSR form as
+        they stand, and W is that triangle plus its transpose.  Any other
+        edge arrays go through scipy's COO conversion, which sums
+        duplicates.  Both ways give the same canonical matrix, except that
+        the first stores no entry for a zero weight; the Laplacians built
+        from either are identical.
+        """
+        n = self.n
+        rows, cols = np.asarray(self.rows), np.asarray(self.cols)
+        if _in_documented_order(n, rows, cols):
+            indptr = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+            upper = sparse.csr_matrix((self.weights, cols, indptr), shape=(n, n))
+            return upper + upper.T
+        i = np.concatenate([rows, cols])
+        j = np.concatenate([cols, rows])
         w = np.concatenate([self.weights, self.weights])
-        return sparse.csr_matrix((w, (i, j)), shape=(self.n, self.n))
+        return sparse.csr_matrix((w, (i, j)), shape=(n, n))
+
+
+def _lex_ordered(rows: np.ndarray, cols: np.ndarray, strict: bool = False) -> bool:
+    """Whether (rows, cols) is sorted by (row, col), in O(m).
+
+    ``strict`` also rules out repeated pairs.
+    """
+    dr = np.diff(rows)
+    dc = np.diff(cols)
+    later = dc > 0 if strict else dc >= 0
+    return bool(np.all((dr > 0) | ((dr == 0) & later)))
+
+
+def _in_documented_order(n: int, rows: np.ndarray, cols: np.ndarray) -> bool:
+    """Signed-integer edges with 0 <= row < col < n, strictly sorted by (row, col)."""
+    return (
+        rows.dtype.kind == "i"
+        and cols.dtype.kind == "i"
+        and _lex_ordered(rows, cols, strict=True)
+        and bool(np.all(rows < cols))
+        and (rows.size == 0 or (rows[0] >= 0 and cols.max() < n))
+    )
 
 
 def _make_graph(n: int, rows, cols, weights) -> SimilarityGraph:
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     weights = np.asarray(weights, dtype=float)
+    if _lex_ordered(rows, cols):
+        # np.lexsort is stable, so sorted input would come back as it is
+        rows, cols, weights = (np.ascontiguousarray(a) for a in (rows, cols, weights))
+        return SimilarityGraph(n=n, rows=rows, cols=cols, weights=weights)
     order = np.lexsort((cols, rows))
     return SimilarityGraph(n=n, rows=rows[order], cols=cols[order], weights=weights[order])
 

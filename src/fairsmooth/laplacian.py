@@ -12,6 +12,7 @@ smoothing leaves them untouched.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -29,6 +30,11 @@ class LaplacianOperator:
     kind: str
     n: int
     matrix: sparse.csr_matrix
+
+    @cached_property
+    def diagonal(self) -> np.ndarray:
+        """The diagonal of ``matrix``, read once per operator."""
+        return self.matrix.diagonal()
 
     def symmetrized(self) -> sparse.csr_matrix:
         """(L + L^T) / 2 as CSR; equals ``matrix`` for the unnormalized kind."""

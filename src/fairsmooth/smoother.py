@@ -11,9 +11,10 @@ the sparse matrix.  A Gauss-Seidel coordinate-descent solver covers
 random-walk instances too large to factorize, and a single coordinate step
 extends the method to unseen points.
 
-For probability outputs, smoothing is done in the natural-parameter space
-eta_j = log(p_j / p_K): by the exponential-family equivalence, quadratic
-smoothing of eta solves the KL-divergence smoothing problem on the simplex.
+For probability outputs, the same quadratic solve runs in the
+natural-parameter space eta_j = log(p_j / p_K): by the exponential-family
+equivalence, quadratic smoothing of eta solves the KL-divergence smoothing
+problem on the simplex.
 The per-coordinate KL problem carries an internal lambda/2 factor; because
 every unordered pair appears twice in the full objective, the user-facing
 lambda of :func:`smooth_kl` plays exactly the same role as in the squared
@@ -172,7 +173,7 @@ def _cg_iteration_bound(L: LaplacianOperator, lam: float, tolerance: float) -> i
     least 2 exp(-2 it / sqrt(kappa)) (Saad, *Iterative Methods for Sparse
     Linear Systems*, sec. 6.11), below ``tolerance`` after this many steps.
     """
-    kappa = 1.0 + 2.0 * lam * float(np.max(L.matrix.diagonal(), initial=0.0))
+    kappa = 1.0 + 2.0 * lam * float(np.max(L.diagonal, initial=0.0))
     return math.ceil(0.5 * math.sqrt(kappa) * math.log(2.0 / tolerance))
 
 
@@ -192,7 +193,9 @@ def smooth_conjugate_gradient(
 
     Jacobi-preconditioned conjugate gradient (preconditioner
     1 / (1 + lambda * L_ii)) runs all output columns in lockstep, one sparse
-    product ``L.matrix @ P`` per iteration, without forming I + lambda * L.
+    product ``L.matrix @ p_k`` per column still iterating, without forming
+    I + lambda * L.  The columns never mix: each column of a K-column
+    solve is its one-column solve bit for bit (the iteration cap is shared).
     A column stops iterating once its recurrence residual meets its bound;
     the result is returned only when the recomputed residual
     r = f - yhat + lambda * L f satisfies
@@ -216,53 +219,64 @@ def smooth_conjugate_gradient(
         f, iterations = y.copy(), 0
     else:
         cap = CG_ITERATION_CAP * _cg_iteration_bound(L, lam, tolerance)
-        f, iterations = _pcg(y, L.matrix, lam, _column_bounds(y, tolerance), cap)
+        f, iterations = _pcg(y, L.matrix, L.diagonal, lam, _column_bounds(y, tolerance), cap)
     out = f[:, 0] if squeeze else f
     if return_info:
         return out, {"iterations": iterations}
     return out
 
 
-def _pcg(y, A, lam, bound, cap):
+def _pcg(y, A, diag, lam, bound, cap):
     """Jacobi-preconditioned CG from f = y; returns (f, iterations).
 
-    Columns whose residual is within ``bound``, or whose r.z or p.Ap is no
-    longer a normal positive number (an all-zero column from the start, a
-    residual near underflow later), are frozen with a zero search
-    direction, so no 0/0 or overflow reaches f.
+    The iterates are (K, n) arrays, one contiguous row per output column,
+    so every per-column reduction runs along a contiguous axis and L is
+    applied one column at a time.  Columns whose residual is within
+    ``bound``, or whose r.z or p.Ap is no longer a normal positive number
+    (an all-zero column from the start, a residual near underflow later),
+    are frozen with a zero search direction, so no 0/0 or overflow reaches
+    f; L is not applied to them.
     """
-    inv_diag = (1.0 / (1.0 + lam * A.diagonal()))[:, None]
+    inv_diag = 1.0 / (1.0 + lam * diag)
     tiny = np.finfo(float).tiny
+    y = np.ascontiguousarray(y.T)
     f = y.copy()
     iterations = 0
     while True:
-        r = y - f - lam * (A @ f)
+        r = np.empty_like(f)
+        for k in range(len(f)):
+            r[k] = y[k] - f[k] - lam * (A @ f[k])
         # written so that a NaN residual never passes
-        failing = ~(np.max(np.abs(r), axis=0) <= bound)
+        failing = ~(np.max(np.abs(r), axis=1) <= bound)
         if not failing.any():
-            return f, iterations
+            return np.ascontiguousarray(f.T), iterations
         z = inv_diag * r
-        rz = np.sum(r * z, axis=0)
+        rz = np.sum(r * z, axis=1)
         active = failing & (rz >= tiny)
         if iterations >= cap or not active.any():
             worst = float(np.max(np.abs(r)))
             raise NotConverged(
                 f"conjugate gradient residual {worst:.3g} above its bound after {iterations} iterations"
             )
-        p = np.where(active, z, 0.0)
+        p = np.where(active[:, None], z, 0.0)
         while active.any() and iterations < cap:
-            q = p + lam * (A @ p)
-            pq = np.sum(p * q, axis=0)
+            # a frozen column's p is +0, and so is its p + lambda * L p;
+            # its f is left as it is, so a -0.0 entry stays -0.0
+            stepping = active.copy()
+            q = np.zeros_like(p)
+            for k in np.flatnonzero(stepping):
+                q[k] = p[k] + lam * (A @ p[k])
+            pq = np.sum(p * q, axis=1)
             active &= pq >= tiny
-            alpha = np.divide(rz, pq, out=np.zeros_like(rz), where=active)
-            f += alpha * p
+            alpha = np.divide(rz, pq, out=np.zeros_like(rz), where=active)[:, None]
+            np.add(f, alpha * p, out=f, where=stepping[:, None])
             r -= alpha * q
             iterations += 1
-            z = inv_diag * r
-            rz_next = np.sum(r * z, axis=0)
-            active &= (np.max(np.abs(r), axis=0) > bound) & (rz_next >= tiny)
-            beta = np.divide(rz_next, rz, out=np.zeros_like(rz), where=active)
-            p = np.where(active, z + beta * p, 0.0)
+            np.multiply(inv_diag, r, out=z)
+            rz_next = np.sum(r * z, axis=1)
+            active &= (np.max(np.abs(r), axis=1) > bound) & (rz_next >= tiny)
+            beta = np.divide(rz_next, rz, out=np.zeros_like(rz), where=active)[:, None]
+            p = np.where(active[:, None], z + beta * p, 0.0)
             rz = rz_next
 
 
@@ -419,14 +433,18 @@ def from_natural_params(eta: np.ndarray) -> np.ndarray:
 def smooth_kl(yhat_probs: np.ndarray, L_un: LaplacianOperator, lam: float) -> np.ndarray:
     """KL-divergence smoothing of probability rows on an unnormalized Laplacian.
 
-    Rows are mapped to natural parameters, quadratically smoothed with the
-    closed form, and mapped back; the result solves the KL smoothing
+    Rows are mapped to natural parameters, quadratically smoothed by the
+    solver :func:`run_smoothing` picks under ``SmoothingConfig`` defaults
+    (dense Cholesky on small graphs, certified conjugate gradient on large
+    or sparse ones), and mapped back; the result solves the KL smoothing
     problem on the simplex.
     """
     if L_un.kind != UNNORMALIZED:
         raise InvalidParameter("kl smoothing requires the unnormalized laplacian")
     eta = to_natural_params(np.atleast_2d(yhat_probs))
-    return from_natural_params(smooth_closed_form(eta, L_un, lam))
+    _check_lambda(lam)
+    f, _ = _solve(eta, L_un, SmoothingConfig(lam=lam), {})
+    return from_natural_params(f)
 
 
 def kl_coordinate_update(

@@ -80,6 +80,18 @@ def test_rerun_byte_identical(graph_1500):
     assert smooth_conjugate_gradient(y, L, 1.0, TOL).tobytes() == smooth_conjugate_gradient(y, L, 1.0, TOL).tobytes()
 
 
+def test_columns_solve_independently(graph_1500):
+    # lockstep columns never mix: a K-column solve is K one-column solves,
+    # down to the sign of a zero column's entries
+    L = make_laplacian(graph_1500, UNNORMALIZED)
+    rng = np.random.default_rng(10)
+    y = np.column_stack([rng.normal(size=1500), 1e3 * rng.uniform(size=1500), np.full(1500, -0.0)])
+    f = smooth_conjugate_gradient(y, L, 2.0, TOL)
+    for k in range(3):
+        assert f[:, k].tobytes() == smooth_conjugate_gradient(y[:, k], L, 2.0, TOL).tobytes()
+    assert np.all(np.signbit(f[:, 2]))
+
+
 def test_kl_through_run_smoothing(graph_1500):
     rng = np.random.default_rng(3)
     p = rng.dirichlet(np.ones(3), size=1500)

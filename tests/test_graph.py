@@ -296,3 +296,28 @@ class TestEdgeListIO:
         path.write_text("# n=4\n2\t3\t0.5\n0\t2\t0.25\n0\t1\t0.125\n")
         g = read_edge_list(path)
         assert g.edges == [(0, 1, 0.125), (0, 2, 0.25), (2, 3, 0.5)]
+
+    def test_in_order_file_read_without_sorting(self, tmp_path, monkeypatch):
+        g = build_similarity_graph(np.random.default_rng(9).uniform(size=(80, 2)), EUCLID, theta=1.0, tau=0.3)
+        path = tmp_path / "edges.tsv"
+        write_edge_list(g, path)
+
+        def no_sort(*args, **kwargs):
+            raise AssertionError("edges already in order were sorted")
+
+        monkeypatch.setattr(np, "lexsort", no_sort)
+        g2 = read_edge_list(path)
+        assert g2.n == g.n and g2.num_edges > 100
+        for ours, ref in ((g2.rows, g.rows), (g2.cols, g.cols), (g2.weights, g.weights)):
+            assert ours.dtype == ref.dtype and ours.tobytes() == ref.tobytes()
+            assert ours.flags.c_contiguous
+
+    def test_shuffled_file_read_in_order(self, tmp_path):
+        g = build_similarity_graph(np.random.default_rng(10).uniform(size=(80, 2)), EUCLID, theta=1.0, tau=0.3)
+        order = np.random.default_rng(11).permutation(g.num_edges)
+        path = tmp_path / "edges.tsv"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(f"# n={g.n}\n")
+            fh.writelines(f"{i}\t{j}\t{w!r}\n" for i, j, w in (g.edges[k] for k in order))
+        g2 = read_edge_list(path)
+        assert g2.edges == g.edges

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from fairsmooth import (
     FairMetricSpec,
@@ -12,7 +13,8 @@ from fairsmooth import (
     validate_metric,
 )
 from fairsmooth.errors import DimensionMismatch
-from fairsmooth.laplacian import NORMALIZED_RW, UNNORMALIZED, make_laplacian
+from fairsmooth.graph import SimilarityGraph
+from fairsmooth.laplacian import KINDS, NORMALIZED_RW, UNNORMALIZED, make_laplacian
 
 EUCLID = validate_metric(FairMetricSpec("euclidean"))
 
@@ -201,3 +203,68 @@ class TestApplySymmetrized:
         L = normalized_rw_laplacian(g)
         out = apply_symmetrized(L, np.ones(3))
         assert np.allclose(out, [-0.5, 0.25, 0.25], atol=1e-12)
+
+
+def coo_adjacency(g):
+    """W assembled from both triangles through scipy's COO conversion."""
+    i = np.concatenate([g.rows, g.cols])
+    j = np.concatenate([g.cols, g.rows])
+    w = np.concatenate([g.weights, g.weights])
+    return sparse.csr_matrix((w, (i, j)), shape=(g.n, g.n))
+
+
+def coo_laplacian(g, kind, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(SimilarityGraph, "adjacency", coo_adjacency)
+        return make_laplacian(g, kind).matrix
+
+
+def csr_arrays(M):
+    return [M.data, M.indices, M.indptr]
+
+
+DOCUMENTED_ORDER = {
+    "empty": graph_from_annotations([], n=4),
+    "one node": graph_from_annotations([], n=1),
+    "isolated nodes": graph_from_annotations([(1, 3), (1, 4), (3, 4), (4, 6)], n=8),
+    "k-d tree": build_similarity_graph(
+        np.random.default_rng(14).uniform(0.0, 3.0, size=(200, 2)), EUCLID, theta=1.0, tau=0.5
+    ),
+}
+
+
+class TestAdjacencyBuild:
+    """The upper-triangle CSR build against scipy's COO conversion."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("g", DOCUMENTED_ORDER.values(), ids=DOCUMENTED_ORDER.keys())
+    def test_bit_identical_on_documented_order(self, g, kind, monkeypatch):
+        ours, ref = make_laplacian(g, kind).matrix, coo_laplacian(g, kind, monkeypatch)
+        assert type(ours) is type(ref) and ours.shape == ref.shape
+        for a, b in zip(csr_arrays(ours), csr_arrays(ref)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        W = g.adjacency()
+        for a, b in zip(csr_arrays(W), csr_arrays(coo_adjacency(g))):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_equal_outside_documented_order(self, kind, monkeypatch):
+        # reversed pairs, unsorted rows and a pair stored twice
+        rows = np.array([3, 0, 2, 0, 1, 2])
+        cols = np.array([1, 2, 0, 3, 0, 0])
+        g = SimilarityGraph(n=5, rows=rows, cols=cols, weights=np.array([0.5, 0.25, 2.0, 1.0, 0.75, 0.125]))
+        ours, ref = make_laplacian(g, kind).matrix, coo_laplacian(g, kind, monkeypatch)
+        assert np.array_equal(ours.toarray(), ref.toarray())
+        W = g.adjacency()
+        assert W.has_canonical_format and W[0, 2] == W[2, 0] == 2.375
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_zero_weight_edge(self, kind, monkeypatch):
+        # the transpose sum stores no zero weight, the COO build does; the
+        # Laplacians agree bit for bit either way
+        g = SimilarityGraph(n=4, rows=np.array([0, 0, 1]), cols=np.array([1, 2, 3]),
+                            weights=np.array([0.5, 0.0, 2.0]))
+        ours, ref = make_laplacian(g, kind).matrix, coo_laplacian(g, kind, monkeypatch)
+        for a, b in zip(csr_arrays(ours), csr_arrays(ref)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert np.array_equal(g.adjacency().toarray(), coo_adjacency(g).toarray())

@@ -3,12 +3,13 @@
 Peak numpy allocation, as tracemalloc sees it, must stay below one n x n
 float64 array at n = 3000 (72 MB): the row-block products are O(block * n),
 and smoothing on a sparse graph runs conjugate gradient on the sparse
-Laplacian.
+Laplacian, within a small multiple of the Laplacian's own CSR bytes.
 """
 
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from fairsmooth import (
     FairMetricSpec,
@@ -17,11 +18,19 @@ from fairsmooth import (
     build_similarity_graph,
     convergence_report,
     run_smoothing,
+    smooth_kl,
     validate_metric,
 )
+from fairsmooth.graph import SimilarityGraph
+from fairsmooth.laplacian import UNNORMALIZED, make_laplacian
 
 N = 3000
 DENSE_BYTES = 8 * N * N
+
+# peak of a conjugate-gradient run_smoothing over the CSR bytes of its
+# Laplacian: 3.6 with the Laplacian assembled through COO and CG iterating
+# on (n, K) arrays, 2.0 with the upper-triangle build and (K, n) iterates
+CSR_MULTIPLE = 2.8
 
 
 def peak_bytes(fn):
@@ -44,14 +53,42 @@ def test_graph_build_below_one_dense_array():
     assert peak < DENSE_BYTES
 
 
-def test_run_smoothing_below_one_dense_array():
+@pytest.fixture(scope="module")
+def sparse_problem():
     rng = np.random.default_rng(1)
     X = rng.uniform(0.0, 5.0, size=(N, 3))
     g = build_similarity_graph(X, validate_metric(FairMetricSpec("euclidean")), theta=1.0, tau=1.0)
-    y = rng.uniform(size=(N, 2))
+    return g, rng.uniform(size=(N, 2))
+
+
+def test_run_smoothing_below_one_dense_array(sparse_problem):
+    g, y = sparse_problem
     (f, meta), peak = peak_bytes(lambda: run_smoothing(y, g, SmoothingConfig(lam=1.0)))
     assert meta["converged"] and f.shape == (N, 2)
     assert peak < DENSE_BYTES
+
+
+def test_run_smoothing_within_a_multiple_of_laplacian_bytes(sparse_problem):
+    g, y = sparse_problem
+    L = make_laplacian(g, UNNORMALIZED).matrix
+    csr_bytes = L.data.nbytes + L.indices.nbytes + L.indptr.nbytes
+    (_, meta), peak = peak_bytes(lambda: run_smoothing(y, g, SmoothingConfig(lam=1.0)))
+    assert meta["solver"] == "cg" and meta["converged"]
+    assert peak <= CSR_MULTIPLE * csr_bytes
+
+
+def test_smooth_kl_above_dense_limit_far_below_one_dense_array():
+    # a path graph past the dense limit: smooth_kl runs certified CG, as
+    # run_smoothing does, instead of factorizing an n x n matrix
+    n = 12_000
+    g = SimilarityGraph(n=n, rows=np.arange(n - 1), cols=np.arange(1, n), weights=np.ones(n - 1))
+    p = np.random.default_rng(4).dirichlet(np.ones(3), size=n)
+    L = make_laplacian(g, UNNORMALIZED)
+    out, peak = peak_bytes(lambda: smooth_kl(p, L, 1.0))
+    assert peak < 8 * n * n / 100
+    ref, meta = run_smoothing(p, g, SmoothingConfig(lam=1.0, discrepancy="kl"))
+    assert (meta["solver"], meta["converged"]) == ("cg", True)
+    assert np.array_equal(out, ref)
 
 
 def test_convergence_report_below_one_dense_array():
