@@ -55,7 +55,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_smooth.add_argument("--mode", choices=["closed_form", "coordinate_descent"])
     p_smooth.add_argument("--epochs", type=int)
-    p_smooth.add_argument("--batch-size", type=int)
     p_smooth.add_argument("--seed", type=int)
     p_smooth.add_argument("--discrepancy", choices=["squared", "kl"])
     p_smooth.add_argument("--tolerance", type=float)

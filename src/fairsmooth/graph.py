@@ -15,6 +15,7 @@ from scipy import sparse
 from scipy.spatial import cKDTree
 
 from .errors import (
+    DimensionMismatch,
     IndexOutOfRange,
     InvalidParameter,
     ParseError,
@@ -35,14 +36,50 @@ EPS = np.finfo(float).eps
 class SimilarityGraph:
     """Sparse symmetric nonnegative weight matrix over n individuals.
 
-    ``rows``/``cols``/``weights`` are parallel arrays with rows < cols,
-    sorted lexicographically by (row, col), one entry per unordered pair.
+    ``rows``/``cols``/``weights`` are parallel read-only arrays, int64
+    rows < cols and float64 weights, strictly sorted by (row, col), one
+    entry per unordered pair.  Construction puts any edge arrays in that
+    form: a reversed pair (j, i) is stored as (i, j), the edges are sorted,
+    and the weights of a pair given more than once are summed in input
+    order.  A self-loop raises SelfLoop and an index outside 0..n-1
+    IndexOutOfRange.  Contiguous int64/float64 arrays already in that form
+    are kept as they are, without a copy.
     """
 
     n: int
     rows: np.ndarray
     cols: np.ndarray
     weights: np.ndarray
+
+    def __post_init__(self):
+        rows, cols = (np.asarray(a) for a in (self.rows, self.cols))
+        if rows.size and not (rows.dtype.kind in "iu" and cols.dtype.kind in "iu"):
+            raise InvalidParameter(f"edge indices must be integers, got {rows.dtype} and {cols.dtype}")
+        rows, cols = rows.astype(np.int64, copy=False), cols.astype(np.int64, copy=False)
+        weights = np.asarray(self.weights, dtype=float)
+        if not (rows.ndim == 1 and rows.shape == cols.shape == weights.shape):
+            raise DimensionMismatch("rows, cols and weights must be 1-D arrays of one length")
+        # comparisons only, so no temporary is larger than a boolean mask
+        bad = (rows == cols) | (rows < 0) | (cols < 0) | (rows >= self.n) | (cols >= self.n)
+        if bad.any():
+            i, j = int(rows[bad.argmax()]), int(cols[bad.argmax()])
+            if i == j:
+                raise SelfLoop(f"pair ({i}, {j}) is a self-loop")
+            raise IndexOutOfRange(f"pair ({i}, {j}) out of range for n={self.n}")
+        if np.any(rows > cols):
+            rows, cols = np.minimum(rows, cols), np.maximum(rows, cols)
+        if not np.all((rows[1:] > rows[:-1]) | ((rows[1:] == rows[:-1]) & (cols[1:] > cols[:-1]))):
+            # np.lexsort is stable, so the copies of a pair keep their input order
+            order = np.lexsort((cols, rows))
+            rows, cols, weights = rows[order], cols[order], weights[order]
+            repeat = (rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])
+            if repeat.any():
+                first = np.flatnonzero(np.r_[True, ~repeat])
+                rows, cols, weights = rows[first], cols[first], np.add.reduceat(weights, first)
+        for name, a in (("rows", rows), ("cols", cols), ("weights", weights)):
+            a = np.ascontiguousarray(a).view()
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     @property
     def num_edges(self) -> int:
@@ -56,60 +93,16 @@ class SimilarityGraph:
         ]
 
     def adjacency(self) -> sparse.csr_matrix:
-        """Full symmetric weight matrix W as sparse CSR.
+        """Full symmetric weight matrix W as sparse CSR with sorted indices.
 
-        Edges in the documented order are the upper triangle in CSR form as
-        they stand, and W is that triangle plus its transpose.  Any other
-        edge arrays go through scipy's COO conversion, which sums
-        duplicates.  Both ways give the same canonical matrix, except that
-        the first stores no entry for a zero weight; the Laplacians built
-        from either are identical.
+        The edges are the upper triangle of W in CSR form as they stand, and
+        W is that triangle plus its transpose, which stores no zero weight.
         """
         n = self.n
-        rows, cols = np.asarray(self.rows), np.asarray(self.cols)
-        if _in_documented_order(n, rows, cols):
-            indptr = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-            upper = sparse.csr_matrix((self.weights, cols, indptr), shape=(n, n))
-            return upper + upper.T
-        i = np.concatenate([rows, cols])
-        j = np.concatenate([cols, rows])
-        w = np.concatenate([self.weights, self.weights])
-        return sparse.csr_matrix((w, (i, j)), shape=(n, n))
-
-
-def _lex_ordered(rows: np.ndarray, cols: np.ndarray, strict: bool = False) -> bool:
-    """Whether (rows, cols) is sorted by (row, col), in O(m).
-
-    ``strict`` also rules out repeated pairs.
-    """
-    dr = np.diff(rows)
-    dc = np.diff(cols)
-    later = dc > 0 if strict else dc >= 0
-    return bool(np.all((dr > 0) | ((dr == 0) & later)))
-
-
-def _in_documented_order(n: int, rows: np.ndarray, cols: np.ndarray) -> bool:
-    """Signed-integer edges with 0 <= row < col < n, strictly sorted by (row, col)."""
-    return (
-        rows.dtype.kind == "i"
-        and cols.dtype.kind == "i"
-        and _lex_ordered(rows, cols, strict=True)
-        and bool(np.all(rows < cols))
-        and (rows.size == 0 or (rows[0] >= 0 and cols.max() < n))
-    )
-
-
-def _make_graph(n: int, rows, cols, weights) -> SimilarityGraph:
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    weights = np.asarray(weights, dtype=float)
-    if _lex_ordered(rows, cols):
-        # np.lexsort is stable, so sorted input would come back as it is
-        rows, cols, weights = (np.ascontiguousarray(a) for a in (rows, cols, weights))
-        return SimilarityGraph(n=n, rows=rows, cols=cols, weights=weights)
-    order = np.lexsort((cols, rows))
-    return SimilarityGraph(n=n, rows=rows[order], cols=cols[order], weights=weights[order])
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.rows, minlength=n), out=indptr[1:])
+        upper = sparse.csr_matrix((self.weights, self.cols, indptr), shape=(n, n))
+        return upper + upper.T
 
 
 def build_similarity_graph(
@@ -139,7 +132,7 @@ def build_similarity_graph(
     rows, cols, d = rows[keep], cols[keep], d[keep]
     w = np.exp(-theta * d * d)
     keep = w >= WEIGHT_FLOOR
-    return _make_graph(X.shape[0], rows[keep], cols[keep], w[keep])
+    return SimilarityGraph(X.shape[0], rows[keep], cols[keep], w[keep])
 
 
 def _candidate_pairs(X: np.ndarray, metric: FairMetricSpec, tau: float):
@@ -189,18 +182,12 @@ def graph_from_annotations(pairs: Iterable[Tuple[int, int]], n: int) -> Similari
     """Binary similarity graph from annotator pairs; unordered, deduplicated."""
     if n < 1:
         raise InvalidParameter(f"n must be >= 1, got {n}")
-    seen = set()
-    for i, j in pairs:
-        i, j = int(i), int(j)
-        if i == j:
-            raise SelfLoop(f"pair ({i}, {j}) is a self-loop")
-        if not (0 <= i < n and 0 <= j < n):
-            raise IndexOutOfRange(f"pair ({i}, {j}) out of range for n={n}")
-        seen.add((min(i, j), max(i, j)))
-    if not seen:
-        return _make_graph(n, [], [], [])
-    rows, cols = zip(*sorted(seen))
-    return _make_graph(n, rows, cols, np.ones(len(seen)))
+    p = np.array(list(pairs) or np.empty((0, 2)), dtype=np.int64)
+    if p.ndim != 2 or p.shape[1] != 2:
+        raise InvalidParameter("annotator pairs must be (i, j) index pairs")
+    # construction sums a repeated pair, so the weights are reset to 1 after it
+    g = SimilarityGraph(n, p[:, 0], p[:, 1], np.ones(len(p)))
+    return SimilarityGraph(n, g.rows, g.cols, np.ones(g.num_edges))
 
 
 def degrees(g: SimilarityGraph) -> np.ndarray:
@@ -232,13 +219,13 @@ def read_edge_list(path) -> SimilarityGraph:
     (rows, cols, weights), headers = read_table(
         path, (np.int64, np.int64, float), delimiter="\t", comments=True
     )
-    bad = np.flatnonzero((rows >= cols) | (weights <= 0))
+    bad = np.flatnonzero((rows >= cols) | ~((weights > 0) & (weights < np.inf)))
     if bad.size:
         row = int(bad[0])
         lineno = line_of_row(path, row, comments=True)
         if rows[row] >= cols[row]:
             raise ParseError(f"{path}:{lineno}: edges must have i < j")
-        raise ParseError(f"{path}:{lineno}: weight must be positive")
+        raise ParseError(f"{path}:{lineno}: weight must be positive and finite")
     n = None
     for lineno, line in headers:
         try:
@@ -247,6 +234,4 @@ def read_edge_list(path) -> SimilarityGraph:
             raise ParseError(f"{path}:{lineno}: malformed header {line!r}")
     if n is None:
         raise ParseError(f"{path}: missing '# n=<n>' header")
-    if cols.size and (cols.max() >= n or rows.min() < 0):
-        raise IndexOutOfRange(f"{path}: edge index outside 0..{n - 1}")
-    return _make_graph(n, rows, cols, weights)
+    return SimilarityGraph(n, rows, cols, weights)

@@ -27,9 +27,16 @@ KINDS = (UNNORMALIZED, NORMALIZED_RW)
 
 @dataclass(frozen=True)
 class LaplacianOperator:
+    """L as ``matrix`` and its symmetrization (L + L^T) / 2 as ``sym``.
+
+    Both are CSR with sorted indices, built once with the operator; for the
+    unnormalized kind ``sym`` is ``matrix`` itself.
+    """
+
     kind: str
     n: int
     matrix: sparse.csr_matrix
+    sym: sparse.csr_matrix
 
     @cached_property
     def diagonal(self) -> np.ndarray:
@@ -38,31 +45,36 @@ class LaplacianOperator:
 
     def symmetrized(self) -> sparse.csr_matrix:
         """(L + L^T) / 2 as CSR; equals ``matrix`` for the unnormalized kind."""
-        if self.kind == UNNORMALIZED:
-            return self.matrix
-        return (0.5 * (self.matrix + self.matrix.T)).tocsr()
+        return self.sym
 
 
 def unnormalized_laplacian(g: SimilarityGraph) -> LaplacianOperator:
     """L = D - W with D the degree matrix of W."""
     W = g.adjacency()
-    deg = np.asarray(W.sum(axis=1)).ravel()
-    L = sparse.diags(deg) - W
-    return LaplacianOperator(kind=UNNORMALIZED, n=g.n, matrix=L.tocsr())
+    L = (sparse.diags(np.asarray(W.sum(axis=1)).ravel()) - W).tocsr()
+    return LaplacianOperator(kind=UNNORMALIZED, n=g.n, matrix=L, sym=L)
 
 
 def normalized_rw_laplacian(g: SimilarityGraph) -> LaplacianOperator:
     """L = I - Dt^{-1} Wt with Wt = D^{-1/2} W D^{-1/2}.
 
-    Rows and diagonal entries of isolated nodes are zero.
+    Rows and diagonal entries of isolated nodes are zero.  L and
+    (L + L^T) / 2 are formed by scaling the data array of W's CSR in place:
+    W's pattern is symmetric, so the entry of L^T at (i, j) is -Wt_ji / dt_j.
     """
-    W = g.adjacency()
-    deg = np.asarray(W.sum(axis=1)).ravel()
+    M = g.adjacency()
+    deg = np.asarray(M.sum(axis=1)).ravel()
     pos = deg > 0
     inv_sqrt = np.zeros(g.n)
     inv_sqrt[pos] = 1.0 / np.sqrt(deg[pos])
-    Wt = sparse.diags(inv_sqrt) @ W @ sparse.diags(inv_sqrt)
-    td = np.asarray(Wt.sum(axis=1)).ravel()
+    counts, cols = np.diff(M.indptr), M.indices
+    s_row, s_col = np.repeat(inv_sqrt, counts), inv_sqrt[cols]
+    wt_ji = M.data * s_col  # Wt_ji = (W_ij s_j) s_i, at the position of (i, j)
+    wt_ji *= s_row
+    M.data *= s_row
+    M.data *= s_col  # M = Wt
+    del s_row, s_col  # a random-walk run peaks in this build, so it holds few arrays
+    td = np.asarray(M.sum(axis=1)).ravel()
     if np.any(pos & (td <= 0)):
         bad = int(np.nonzero(pos & (td <= 0))[0][0])
         raise DegenerateDegree(
@@ -70,9 +82,14 @@ def normalized_rw_laplacian(g: SimilarityGraph) -> LaplacianOperator:
         )
     inv_td = np.zeros(g.n)
     inv_td[pos] = 1.0 / td[pos]
+    M.data *= np.repeat(inv_td, counts)  # M = Dt^{-1} Wt
     eye_pos = sparse.diags(pos.astype(float))
-    L = eye_pos - sparse.diags(inv_td) @ Wt
-    return LaplacianOperator(kind=NORMALIZED_RW, n=g.n, matrix=L.tocsr())
+    L = (eye_pos - M).tocsr()
+    wt_ji *= inv_td[cols]
+    M.data += wt_ji
+    del wt_ji
+    M.data *= 0.5  # M = (Dt^{-1} Wt + (Dt^{-1} Wt)^T) / 2
+    return LaplacianOperator(kind=NORMALIZED_RW, n=g.n, matrix=L, sym=(eye_pos - M).tocsr())
 
 
 def make_laplacian(g: SimilarityGraph, kind: str) -> LaplacianOperator:
@@ -97,8 +114,5 @@ def quadratic_form(L: LaplacianOperator, f: np.ndarray) -> float:
 
 
 def apply_symmetrized(L: LaplacianOperator, f: np.ndarray) -> np.ndarray:
-    """((L + L^T) / 2) @ f."""
-    f = _check_rows(L, f)
-    if L.kind == UNNORMALIZED:
-        return L.matrix @ f
-    return 0.5 * (L.matrix @ f + L.matrix.T @ f)
+    """((L + L^T) / 2) @ f with the operator's symmetrized matrix."""
+    return L.symmetrized() @ _check_rows(L, f)

@@ -77,18 +77,15 @@ class SmoothingConfig:
     """Parameters of a smoothing run; mirrors the JSON config file.
 
     The JSON keys are the field names, with ``lambda`` for ``lam``.
-    ``batch_size`` is accepted and must be >= 1, but the coordinate-descent
-    sweep is sequential, so it does not change the result.  ``tolerance``
-    bounds the certified residual, relative to max(1, ||y_k||_inf), of
-    conjugate gradient and of the ``converged`` flag, and is the largest
-    coordinate change at which coordinate descent stops.
+    ``tolerance`` bounds the certified residual, relative to
+    max(1, ||y_k||_inf), of conjugate gradient and of the ``converged`` flag,
+    and is the largest coordinate change at which coordinate descent stops.
     """
 
     lam: float = 1.0
     laplacian_kind: str = UNNORMALIZED
     mode: str = "closed_form"  # or "coordinate_descent"
     epochs: int = 10
-    batch_size: int = 128
     seed: int = 0
     discrepancy: str = "squared"  # or "kl"
     nrw_lambda_scaling: bool = True
@@ -111,8 +108,6 @@ class SmoothingConfig:
             raise InvalidParameter(f"unknown mode {self.mode!r}")
         if self.epochs < 1:
             raise InvalidParameter("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise InvalidParameter("batch_size must be >= 1")
         if self.discrepancy not in ("squared", "kl"):
             raise InvalidParameter(f"unknown discrepancy {self.discrepancy!r}")
         if self.discrepancy == "kl" and self.laplacian_kind != UNNORMALIZED:
@@ -206,7 +201,8 @@ def smooth_conjugate_gradient(
     recomputed test restart from it.  NotConverged is raised after
     CG_ITERATION_CAP times the iteration bound of ``_cg_iteration_bound``,
     or at once when no failing column can take a step.
-    With ``return_info`` the lockstep iteration count is returned as well.
+    With ``return_info`` the lockstep iteration count and the certified
+    residual max |f - yhat + lambda * L f| are returned as well.
     """
     if L.kind != UNNORMALIZED:
         raise InvalidParameter("conjugate gradient requires the unnormalized laplacian")
@@ -216,18 +212,20 @@ def smooth_conjugate_gradient(
     y = _as_outputs(yhat, L.n)
     squeeze = np.asarray(yhat).ndim == 1
     if lam == 0.0:
-        f, iterations = y.copy(), 0
+        f, iterations, residual = y.copy(), 0, 0.0
     else:
         cap = CG_ITERATION_CAP * _cg_iteration_bound(L, lam, tolerance)
-        f, iterations = _pcg(y, L.matrix, L.diagonal, lam, _column_bounds(y, tolerance), cap)
+        f, iterations, residual = _pcg(y, L.matrix, L.diagonal, lam, _column_bounds(y, tolerance), cap)
     out = f[:, 0] if squeeze else f
     if return_info:
-        return out, {"iterations": iterations}
+        return out, {"iterations": iterations, "residual": residual}
     return out
 
 
 def _pcg(y, A, diag, lam, bound, cap):
-    """Jacobi-preconditioned CG from f = y; returns (f, iterations).
+    """Jacobi-preconditioned CG from f = y; returns (f, iterations, residual).
+
+    ``residual`` is max |y - f - lambda * A f|, recomputed for the returned f.
 
     The iterates are (K, n) arrays, one contiguous row per output column,
     so every per-column reduction runs along a contiguous axis and L is
@@ -246,17 +244,17 @@ def _pcg(y, A, diag, lam, bound, cap):
         r = np.empty_like(f)
         for k in range(len(f)):
             r[k] = y[k] - f[k] - lam * (A @ f[k])
+        residual = np.max(np.abs(r), axis=1)
         # written so that a NaN residual never passes
-        failing = ~(np.max(np.abs(r), axis=1) <= bound)
+        failing = ~(residual <= bound)
         if not failing.any():
-            return np.ascontiguousarray(f.T), iterations
+            return np.ascontiguousarray(f.T), iterations, float(np.max(residual))
         z = inv_diag * r
         rz = np.sum(r * z, axis=1)
         active = failing & (rz >= tiny)
         if iterations >= cap or not active.any():
-            worst = float(np.max(np.abs(r)))
             raise NotConverged(
-                f"conjugate gradient residual {worst:.3g} above its bound after {iterations} iterations"
+                f"conjugate gradient residual {np.max(residual):.3g} above its bound after {iterations} iterations"
             )
         p = np.where(active[:, None], z, 0.0)
         while active.any() and iterations < cap:
@@ -296,22 +294,22 @@ def _cd_sweeps(
         bad = int(np.nonzero(denom <= 0)[0][0])
         raise ZeroDenominator(f"1 + lambda*L_ii <= 0 at coordinate {bad}")
     f = y.copy()
-    indptr, indices, data = S.indptr, S.indices, S.data
+    # Python scalars and take() cut the per-coordinate overhead; the
+    # arithmetic, and so every bit of f, is unchanged
+    indptr, indices, data = S.indptr.tolist(), S.indices.astype(np.intp), S.data
+    diag, denom = diag.tolist(), denom.tolist()
     rng = np.random.default_rng(seed)
     last_change = np.inf
     epochs_used = 0
     for epoch in range(epochs):
-        perm = rng.permutation(n)
-        max_change = 0.0
-        for i in perm:
+        start = f.copy()
+        for i in rng.permutation(n).tolist():
             lo, hi = indptr[i], indptr[i + 1]
-            cols = indices[lo:hi]
-            row = data[lo:hi] @ f[cols] - diag[i] * f[i]
-            new = (y[i] - lam * row) / denom[i]
-            change = np.max(np.abs(new - f[i]))
-            if change > max_change:
-                max_change = change
-            f[i] = new
+            row = data[lo:hi] @ f.take(indices[lo:hi], axis=0) - diag[i] * f[i]
+            f[i] = (y[i] - lam * row) / denom[i]
+        # every coordinate moved once, from its value at the start of the
+        # epoch; fmax ignores a NaN change, so it cannot hide the others
+        max_change = np.fmax.reduce(np.abs(f - start), axis=None, initial=0.0)
         epochs_used = epoch + 1
         last_change = max_change
         if max_change < tolerance:
@@ -511,9 +509,13 @@ def run_smoothing(yhat: np.ndarray, g: SimilarityGraph, config: SmoothingConfig)
     kl = config.discrepancy == "kl"
     y = to_natural_params(np.atleast_2d(yhat)) if kl else _as_outputs(yhat, L.n)
     f, meta = _solve(y, L, replace(config, lam=lam, nrw_lambda_scaling=False), meta)
-    r = np.abs(f - y + lam * apply_symmetrized(L, f))
-    meta["residual"] = float(np.max(r))
-    meta["converged"] = bool(np.all(np.max(r, axis=0) <= _column_bounds(y, config.tolerance)))
+    if meta["solver"] == "cg":
+        # CG certified f by its recomputed residual, which is -r bit for bit
+        meta["converged"] = True
+    else:
+        r = np.max(np.abs(f - y + lam * apply_symmetrized(L, f)), axis=0)
+        meta["residual"] = float(np.max(r))
+        meta["converged"] = bool(np.all(r <= _column_bounds(y, config.tolerance)))
     if kl:
         return from_natural_params(f), meta
     return (f[:, 0] if np.ndim(yhat) == 1 else f), meta

@@ -21,6 +21,7 @@ from typing import List, Sequence
 import numpy as np
 
 from .errors import InvalidParameter, UnsupportedSpec
+from .graph import SimilarityGraph
 
 TARGETS = ("cosine_product", "cosine_sum", "constant")
 DEFAULT_SIGMA_EXPONENT = 1.0 / 6.0
@@ -148,12 +149,10 @@ def kernel_weights(X: np.ndarray, sigma: float, dispersion: np.ndarray) -> np.nd
 
 def kernel_graph(X: np.ndarray, sigma: float, dispersion: np.ndarray):
     """All-pairs kernel graph as a :class:`~fairsmooth.graph.SimilarityGraph`."""
-    from .graph import _make_graph
-
     W = kernel_weights(X, sigma, dispersion)
     n = W.shape[0]
     iu, ju = np.triu_indices(n, k=1)
-    return _make_graph(n, iu, ju, W[iu, ju])
+    return SimilarityGraph(n, iu, ju, W[iu, ju])
 
 
 def _kernel_times(X, sigma, dispersion, V: np.ndarray) -> np.ndarray:

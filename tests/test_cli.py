@@ -227,7 +227,6 @@ NON_DEFAULT = {
     "laplacian_kind": "normalized_random_walk",
     "mode": "coordinate_descent",
     "epochs": 7,
-    "batch_size": 3,
     "seed": 5,
     "discrepancy": "kl",
     "nrw_lambda_scaling": False,
@@ -242,7 +241,8 @@ FLAG_OVERRIDES = [
     (["--laplacian", "unnormalized"], "laplacian_kind", "unnormalized"),
     (["--mode", "closed_form"], "mode", "closed_form"),
     (["--epochs", "9"], "epochs", 9),
-    (["--batch-size", "4"], "batch_size", 4),
+    # a zero value is still an override
+    (["--lambda", "0"], "lam", 0.0),
     (["--seed", "6"], "seed", 6),
     (["--discrepancy", "squared"], "discrepancy", "squared"),
     (["--tolerance", "1e-7"], "tolerance", 1e-7),
@@ -255,6 +255,19 @@ NO_CONFIG = object()
 
 def json_key(name):
     return "lambda" if name == "lam" else name
+
+
+@pytest.mark.parametrize("weight", ["nan", "inf"])
+def test_smooth_non_finite_edge_weight_exit_code_1(tmp_path, capsys, weight):
+    # both used to end in a ValueError/OverflowError traceback from the solver
+    graph = tmp_path / "graph.tsv"
+    graph.write_text(f"# n=3\n0\t1\t{weight}\n1\t2\t1.0\n")
+    out = tmp_path / "smoothed.csv"
+    code = main(["smooth", "--graph", str(graph), "--outputs", write_outputs(tmp_path, [0.0, 1.0, 2.0]),
+                 "--lambda", "1.0", "--out", str(out)])
+    assert code == 1
+    assert_one_error_line(capsys, "ParseError")
+    assert not out.exists()
 
 
 def test_smooth_indefinite_system_exit_code_2(tmp_path, capsys):
@@ -325,7 +338,7 @@ class TestSmoothConfig:
         assert code == 0
         assert config == SmoothingConfig(**{name: value})
 
-    @pytest.mark.parametrize("key", ["lam", "laplacian", "no_such_field"])
+    @pytest.mark.parametrize("key", ["lam", "laplacian", "no_such_field", "batch_size"])
     def test_unknown_key_rejected(self, run, capsys, key):
         code, config = run({key: 1.0})
         assert code == 1 and config is None

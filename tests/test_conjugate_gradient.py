@@ -66,6 +66,8 @@ def test_matches_dense_solve(graph_1500, k):
     f, info = smooth_conjugate_gradient(y, L, 2.0, TOL, return_info=True)
     assert f.shape == y.shape
     assert info["iterations"] > 0
+    # the reported residual is that of the recomputed certificate, -r bit for bit
+    assert info["residual"] == float(np.max(np.abs(f - y + 2.0 * (L.matrix @ f))))
     ref, ref_residual = dense_reference(L, 2.0, y)
     assert np.max(np.abs(f - ref)) <= error_bound(L, 2.0, y, ref_residual)
     # the certificate itself, evaluated independently
@@ -167,6 +169,8 @@ class TestDispatch:
         assert (meta["solver"], meta["converged"], meta["fallback_to_cd"]) == ("cg", True, False)
         assert meta["iterations"] > 0 and meta["epochs_used"] == 0
         assert meta["residual"] <= TOL * max(1.0, float(np.max(np.abs(y))))
+        L = make_laplacian(g, UNNORMALIZED)
+        assert meta["residual"] == float(np.max(np.abs(f - y + L.matrix @ f)))
 
 
 def test_cli_tiny_tolerance_exit_code_2(tmp_path, capsys):

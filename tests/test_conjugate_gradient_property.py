@@ -16,7 +16,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from fairsmooth import smooth_conjugate_gradient  # noqa: E402
-from fairsmooth.graph import _make_graph  # noqa: E402
+from fairsmooth.graph import SimilarityGraph  # noqa: E402
 from fairsmooth.laplacian import unnormalized_laplacian  # noqa: E402
 
 TOL = 1e-9
@@ -36,7 +36,7 @@ def instances(draw):
     y = rng.normal(scale=draw(st.sampled_from([1e-3, 1.0, 1e3])), size=(n, k))
     if draw(st.booleans()):
         y[:, 0] = 0.0
-    return _make_graph(n, i[keep], j[keep], weights), y
+    return SimilarityGraph(n, i[keep], j[keep], weights), y
 
 
 @settings(max_examples=150, deadline=None)

@@ -12,12 +12,13 @@ from fairsmooth import (
     write_edge_list,
 )
 from fairsmooth.errors import (
+    DimensionMismatch,
     IndexOutOfRange,
     InvalidParameter,
     ParseError,
     SelfLoop,
 )
-from fairsmooth.graph import WEIGHT_FLOOR
+from fairsmooth.graph import WEIGHT_FLOOR, SimilarityGraph
 from fairsmooth.metric import pairwise_fair_distances
 
 EUCLID = validate_metric(FairMetricSpec("euclidean"))
@@ -155,6 +156,67 @@ class TestAnnotationGraph:
         with pytest.raises(IndexOutOfRange):
             graph_from_annotations([(0, 5)], n=3)
 
+    def test_repeated_pair_keeps_weight_one(self):
+        g = graph_from_annotations([(2, 0), (0, 1), (0, 2), (2, 0)], n=3)
+        assert g.edges == [(0, 1, 1.0), (0, 2, 1.0)]
+
+    def test_pairs_must_be_index_pairs(self):
+        with pytest.raises(InvalidParameter, match="index pairs"):
+            graph_from_annotations([(0, 1, 2)], n=3)
+
+
+class TestCanonicalForm:
+    """SimilarityGraph puts its edges in documented form when it is built."""
+
+    def test_reversed_unsorted_and_repeated_pairs(self):
+        g = SimilarityGraph(n=5, rows=[3, 0, 2, 0, 1, 2], cols=[1, 2, 0, 3, 0, 0],
+                            weights=[0.5, 0.25, 2.0, 1.0, 0.75, 0.125])
+        # the three copies of (0, 2) are summed in input order
+        assert g.edges == [(0, 1, 0.75), (0, 2, 2.375), (0, 3, 1.0), (1, 3, 0.5)]
+        for a, dtype in ((g.rows, np.int64), (g.cols, np.int64), (g.weights, np.float64)):
+            assert a.dtype == dtype and a.flags.c_contiguous and not a.flags.writeable
+
+    def test_canonical_arrays_kept_without_a_copy(self):
+        rows, cols, weights = np.array([0, 0, 2]), np.array([1, 3, 3]), np.array([0.5, 0.0, 1.0])
+        g = SimilarityGraph(n=4, rows=rows, cols=cols, weights=weights)
+        for ours, given in ((g.rows, rows), (g.cols, cols), (g.weights, weights)):
+            assert np.shares_memory(ours, given) and not ours.flags.writeable
+            assert given.flags.writeable
+
+    def test_edges_cannot_be_changed_in_place(self):
+        g = graph_from_annotations([(0, 1)], n=2)
+        with pytest.raises(ValueError):
+            g.weights[0] = 2.0
+
+    def test_empty(self):
+        g = SimilarityGraph(n=3, rows=[], cols=[], weights=[])
+        assert g.num_edges == 0 and g.rows.dtype == np.int64 and g.weights.dtype == np.float64
+
+    @pytest.mark.parametrize("pair", [(2, 2), (0, 0)])
+    def test_self_loop_rejected(self, pair):
+        with pytest.raises(SelfLoop, match=rf"^pair \({pair[0]}, {pair[1]}\) is a self-loop$"):
+            SimilarityGraph(n=3, rows=[0, pair[0]], cols=[1, pair[1]], weights=[1.0, 1.0])
+
+    @pytest.mark.parametrize("pair", [(0, 3), (3, 0), (-1, 1), (1, -1)])
+    def test_index_out_of_range_rejected(self, pair):
+        match = rf"^pair \({pair[0]}, {pair[1]}\) out of range for n=3$"
+        with pytest.raises(IndexOutOfRange, match=match):
+            SimilarityGraph(n=3, rows=[0, pair[0]], cols=[1, pair[1]], weights=[1.0, 1.0])
+
+    def test_first_bad_pair_is_reported(self):
+        with pytest.raises(IndexOutOfRange, match=r"pair \(0, 5\)"):
+            SimilarityGraph(n=3, rows=[0, 1], cols=[5, 1], weights=[1.0, 1.0])
+        with pytest.raises(SelfLoop, match=r"pair \(1, 1\)"):
+            SimilarityGraph(n=3, rows=[1, 0], cols=[1, 5], weights=[1.0, 1.0])
+
+    def test_non_integer_indices_rejected(self):
+        with pytest.raises(InvalidParameter, match="edge indices must be integers"):
+            SimilarityGraph(n=3, rows=np.array([0.0]), cols=np.array([1.0]), weights=[1.0])
+
+    def test_arrays_of_different_lengths_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            SimilarityGraph(n=3, rows=[0, 1], cols=[1, 2], weights=[1.0])
+
 
 class TestDegrees:
     def test_no_edges(self):
@@ -231,7 +293,7 @@ class TestEdgeListIO:
         with pytest.raises(ParseError, match=":3: edges must have i < j"):
             read_edge_list(path)
 
-    @pytest.mark.parametrize("weight", ["0", "-0.5", "-0"])
+    @pytest.mark.parametrize("weight", ["0", "-0.5", "-0", "nan", "inf"])
     def test_nonpositive_weight_rejected(self, tmp_path, weight):
         path = tmp_path / "edges.tsv"
         path.write_text(f"# n=3\n\n0\t1\t0.5\n1\t2\t{weight}\n")

@@ -12,7 +12,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from fairsmooth import read_edge_list, write_edge_list  # noqa: E402
-from fairsmooth.graph import WEIGHT_FLOOR, SimilarityGraph, _make_graph  # noqa: E402
+from fairsmooth.graph import WEIGHT_FLOOR, SimilarityGraph  # noqa: E402
 
 # positive weights across the double range: subnormals, values either side of
 # WEIGHT_FLOOR, and everything up to 1 as the Gaussian kernel produces
@@ -36,7 +36,7 @@ def graphs(draw):
     weights = draw(st.lists(WEIGHTS, min_size=len(pairs), max_size=len(pairs)))
     rows = [i for i, _ in sorted(pairs)]
     cols = [j for _, j in sorted(pairs)]
-    return _make_graph(n, rows, cols, weights)
+    return SimilarityGraph(n, rows, cols, weights)
 
 
 @settings(max_examples=60, deadline=None)

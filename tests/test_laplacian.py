@@ -95,6 +95,22 @@ class TestNormalizedRW:
             L.matrix.toarray(), dense_nrw_oracle(g.adjacency().toarray()), atol=1e-12
         )
 
+    def test_sorted_csr_and_its_symmetrization(self):
+        # L and sym(L) come with sorted indices; sym(L) is scipy's
+        # (L + L^T) / 2 bit for bit, and apply_symmetrized multiplies by it
+        rng = np.random.default_rng(15)
+        g = build_similarity_graph(rng.uniform(size=(150, 2)), EUCLID, theta=3.0, tau=0.2)
+        L = normalized_rw_laplacian(g)
+        S = L.symmetrized()
+        assert L.matrix.has_sorted_indices and S.has_sorted_indices
+        ref = (0.5 * (L.matrix + L.matrix.T)).tocsr()
+        assert S.toarray().tobytes() == ref.toarray().tobytes()
+        oracle = dense_nrw_oracle(g.adjacency().toarray())
+        assert np.allclose(S.toarray(), 0.5 * (oracle + oracle.T), atol=1e-12)
+        f = rng.normal(size=(150, 2))
+        assert apply_symmetrized(L, f).tobytes() == (S @ f).tobytes()
+        assert L.symmetrized() is S
+
     def test_isolated_node_row_zero(self):
         g = graph_from_annotations([(0, 1)], n=3)
         L = normalized_rw_laplacian(g).matrix.toarray()
@@ -205,22 +221,30 @@ class TestApplySymmetrized:
         assert np.allclose(out, [-0.5, 0.25, 0.25], atol=1e-12)
 
 
-def coo_adjacency(g):
+def coo_adjacency(n, rows, cols, weights):
     """W assembled from both triangles through scipy's COO conversion."""
-    i = np.concatenate([g.rows, g.cols])
-    j = np.concatenate([g.cols, g.rows])
-    w = np.concatenate([g.weights, g.weights])
-    return sparse.csr_matrix((w, (i, j)), shape=(g.n, g.n))
+    i = np.concatenate([rows, cols])
+    j = np.concatenate([cols, rows])
+    w = np.concatenate([weights, weights])
+    return sparse.csr_matrix((w, (i, j)), shape=(n, n))
 
 
-def coo_laplacian(g, kind, monkeypatch):
+def coo_laplacian(g, kind, monkeypatch, edges=None):
+    """The Laplacian built from the COO adjacency of ``edges``, g's own by default."""
+    edges = (g.rows, g.cols, g.weights) if edges is None else edges
     with monkeypatch.context() as m:
-        m.setattr(SimilarityGraph, "adjacency", coo_adjacency)
-        return make_laplacian(g, kind).matrix
+        m.setattr(SimilarityGraph, "adjacency", lambda self: coo_adjacency(self.n, *edges))
+        return make_laplacian(g, kind)
 
 
 def csr_arrays(M):
     return [M.data, M.indices, M.indptr]
+
+
+def assert_same_csr(ours, ref):
+    assert type(ours) is type(ref) and ours.shape == ref.shape
+    for a, b in zip(csr_arrays(ours), csr_arrays(ref)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 DOCUMENTED_ORDER = {
@@ -239,24 +263,62 @@ class TestAdjacencyBuild:
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("g", DOCUMENTED_ORDER.values(), ids=DOCUMENTED_ORDER.keys())
     def test_bit_identical_on_documented_order(self, g, kind, monkeypatch):
-        ours, ref = make_laplacian(g, kind).matrix, coo_laplacian(g, kind, monkeypatch)
-        assert type(ours) is type(ref) and ours.shape == ref.shape
-        for a, b in zip(csr_arrays(ours), csr_arrays(ref)):
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-        W = g.adjacency()
-        for a, b in zip(csr_arrays(W), csr_arrays(coo_adjacency(g))):
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        ours, ref = make_laplacian(g, kind), coo_laplacian(g, kind, monkeypatch)
+        assert_same_csr(ours.matrix, ref.matrix)
+        assert_same_csr(ours.symmetrized(), ref.symmetrized())
+        assert_same_csr(g.adjacency(), coo_adjacency(g.n, g.rows, g.cols, g.weights))
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_equal_outside_documented_order(self, kind, monkeypatch):
-        # reversed pairs, unsorted rows and a pair stored twice
-        rows = np.array([3, 0, 2, 0, 1, 2])
-        cols = np.array([1, 2, 0, 3, 0, 0])
-        g = SimilarityGraph(n=5, rows=rows, cols=cols, weights=np.array([0.5, 0.25, 2.0, 1.0, 0.75, 0.125]))
-        ours, ref = make_laplacian(g, kind).matrix, coo_laplacian(g, kind, monkeypatch)
-        assert np.array_equal(ours.toarray(), ref.toarray())
-        W = g.adjacency()
-        assert W.has_canonical_format and W[0, 2] == W[2, 0] == 2.375
+        """Any edge arrays: the graph is canonical, its Laplacians those of the raw edges.
+
+        Each unordered pair appears at most twice, reversed or not, so its
+        summed weight a + b does not depend on the order of summation; with
+        three copies the COO reference itself sums them in a different order
+        in row i than in row j.  The Laplacians' reference leaves zero
+        weights out: the COO build would store them, and a stored zero
+        regroups scipy's row sums (np.add.reduceat), so the degrees could
+        differ in the last bit.  The adjacencies are compared with them.
+        """
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @st.composite
+        def edge_arrays(draw):
+            n = draw(st.integers(min_value=2, max_value=9))
+            pairs = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                                 .filter(lambda p: p[0] < p[1])))
+            weight = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=4.0))
+            edges = []
+            for i, j in sorted(pairs):
+                for _ in range(draw(st.integers(1, 2))):
+                    edges.append((j, i) if draw(st.booleans()) else (i, j))
+            edges = draw(st.permutations(edges))
+            weights = draw(st.lists(weight, min_size=len(edges), max_size=len(edges)))
+            rows = np.array([i for i, _ in edges], dtype=np.int64)
+            cols = np.array([j for _, j in edges], dtype=np.int64)
+            return n, rows, cols, np.array(weights)
+
+        @hypothesis.settings(max_examples=150, deadline=None)
+        @hypothesis.given(edge_arrays())
+        def check(edges):
+            n, rows, cols, weights = edges
+            g = SimilarityGraph(n, rows, cols, weights)
+            for a, dtype in ((g.rows, np.int64), (g.cols, np.int64), (g.weights, np.float64)):
+                assert a.dtype == dtype and a.flags.c_contiguous and not a.flags.writeable
+            assert np.all(g.rows < g.cols)
+            assert np.all(np.diff(g.rows * n + g.cols) > 0)
+            W = coo_adjacency(n, rows, cols, weights)
+            assert np.array_equal(g.weights, W.toarray()[g.rows, g.cols])
+            assert len(g.rows) == len({(min(i, j), max(i, j)) for i, j in zip(rows, cols)})
+            assert g.adjacency().toarray().tobytes() == W.toarray().tobytes()
+            nonzero = weights != 0
+            raw = (rows[nonzero], cols[nonzero], weights[nonzero])
+            ours, ref = make_laplacian(g, kind), coo_laplacian(g, kind, monkeypatch, raw)
+            assert_same_csr(ours.matrix, ref.matrix)
+            assert_same_csr(ours.symmetrized(), ref.symmetrized())
+
+        check()
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_zero_weight_edge(self, kind, monkeypatch):
@@ -264,7 +326,6 @@ class TestAdjacencyBuild:
         # Laplacians agree bit for bit either way
         g = SimilarityGraph(n=4, rows=np.array([0, 0, 1]), cols=np.array([1, 2, 3]),
                             weights=np.array([0.5, 0.0, 2.0]))
-        ours, ref = make_laplacian(g, kind).matrix, coo_laplacian(g, kind, monkeypatch)
-        for a, b in zip(csr_arrays(ours), csr_arrays(ref)):
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-        assert np.array_equal(g.adjacency().toarray(), coo_adjacency(g).toarray())
+        assert_same_csr(make_laplacian(g, kind).matrix, coo_laplacian(g, kind, monkeypatch).matrix)
+        W = coo_adjacency(g.n, g.rows, g.cols, g.weights)
+        assert np.array_equal(g.adjacency().toarray(), W.toarray())

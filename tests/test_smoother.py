@@ -28,7 +28,7 @@ from fairsmooth.laplacian import (
     make_laplacian,
     unnormalized_laplacian,
 )
-from fairsmooth.smoother import objective
+from fairsmooth.smoother import _cd_sweeps, objective
 
 EUCLID = validate_metric(FairMetricSpec("euclidean"))
 
@@ -136,17 +136,49 @@ class TestCoordinateDescent:
         f2 = smooth_coordinate_descent(y, L, config)
         assert np.array_equal(f1, f2)
 
-    def test_batch_size_does_not_change_sequential_result(self):
-        # batches only structure the sweep; updates stay Gauss-Seidel
+    @pytest.mark.parametrize("kind", [UNNORMALIZED, NORMALIZED_RW])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_sweeps_match_reference_loop(self, kind, k):
         rng = np.random.default_rng(26)
-        g, y = random_instance(rng, 15, 1)
-        L = make_laplacian(g, UNNORMALIZED)
-        outs = []
-        for bs in (1, 4, 128):
-            config = SmoothingConfig(lam=1.0, epochs=3, seed=2, batch_size=bs, tolerance=1e-30)
-            outs.append(smooth_coordinate_descent(y, L, config))
-        assert np.array_equal(outs[0], outs[1])
-        assert np.array_equal(outs[0], outs[2])
+        g, y = random_instance(rng, 40, k, theta=2.0)
+        y = y.reshape(40, k)
+        S = make_laplacian(g, kind).symmetrized()
+        # four full epochs, then a run that stops early at its tolerance
+        for epochs, tolerance in ((4, 1e-30), (500, 1e-7)):
+            ours = _cd_sweeps(y, S, 3.0, epochs, 11, tolerance)
+            ref = reference_cd_sweeps(y, S, 3.0, epochs, 11, tolerance)
+            assert ours[0].tobytes() == ref[0].tobytes()
+            assert ours[1:] == ref[1:]
+        assert ours[1] < 500
+
+
+def reference_cd_sweeps(y, S, lam, epochs, seed, tolerance):
+    """The Gauss-Seidel loop of ``_cd_sweeps`` with numpy scalars throughout."""
+    n = y.shape[0]
+    diag = S.diagonal()
+    denom = 1.0 + lam * diag
+    f = y.copy()
+    indptr, indices, data = S.indptr, S.indices, S.data
+    rng = np.random.default_rng(seed)
+    last_change = np.inf
+    epochs_used = 0
+    for epoch in range(epochs):
+        perm = rng.permutation(n)
+        max_change = 0.0
+        for i in perm:
+            lo, hi = indptr[i], indptr[i + 1]
+            cols = indices[lo:hi]
+            row = data[lo:hi] @ f[cols] - diag[i] * f[i]
+            new = (y[i] - lam * row) / denom[i]
+            change = np.max(np.abs(new - f[i]))
+            if change > max_change:
+                max_change = change
+            f[i] = new
+        epochs_used = epoch + 1
+        last_change = max_change
+        if max_change < tolerance:
+            break
+    return f, epochs_used, last_change
 
 
 NON_FINITE = [np.nan, np.inf]
@@ -184,7 +216,7 @@ class TestConfigTypes:
             {"epochs": "3"},
             {"epochs": 3.0},
             {"seed": 1.5},
-            {"batch_size": False},
+            {"seed": False},
             {"tolerance": None},
             {"dense_limit": "x"},
             {"mode": 1},
