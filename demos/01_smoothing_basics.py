@@ -15,7 +15,6 @@ from fairsmooth import (
     build_similarity_graph,
     inductive_update,
     run_smoothing,
-    validate_metric,
 )
 from fairsmooth.laplacian import unnormalized_laplacian
 from fairsmooth.metric import fair_distance
@@ -27,9 +26,7 @@ rng = np.random.default_rng(0)
 # Mahalanobis form that discounts the second coordinate (treating it as
 # mostly irrelevant to similarity).
 X = rng.normal(size=(30, 2))
-metric = validate_metric(
-    FairMetricSpec("mahalanobis", sigma=np.diag([1.0, 0.1]))
-)
+metric = FairMetricSpec("mahalanobis", sigma=np.diag([1.0, 0.1]))
 
 # Noisy base-model scores: a smooth function of the first coordinate plus
 # noise that an individually fair post-processor should iron out.

@@ -18,7 +18,6 @@ from fairsmooth import (
     constraints_from_distances,
     count_violations,
     global_if_project,
-    validate_metric,
     violation_histogram,
 )
 from fairsmooth.laplacian import unnormalized_laplacian
@@ -35,7 +34,7 @@ yhat = np.concatenate(
     [rng.normal(0.0, 1.0, size=20), rng.normal(5.0, 1.0, size=20)]
 )
 
-metric = validate_metric(FairMetricSpec("euclidean"))
+metric = FairMetricSpec("euclidean")
 pairs = [
     (i, j, float(abs(X[i, 0] - X[j, 0])))
     for i in range(40)

@@ -47,7 +47,6 @@ from .metric import (
     fair_distance,
     metric_spec_from_json,
     pairwise_fair_distances,
-    validate_metric,
 )
 from .smoother import (
     SmoothingConfig,

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import baseline as baseline_mod
-from . import evalmetrics, graph, io, metric, smoother, synthcheck
+from . import evalmetrics, graph, io, laplacian, metric, smoother, synthcheck
 from .errors import (
     FairSmoothError,
     InvalidParameter,
@@ -50,13 +50,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_smooth.add_argument("--outputs", required=True, help="CSV of model outputs")
     p_smooth.add_argument("--config", help="JSON smoothing config")
     p_smooth.add_argument("--lambda", dest="lam", type=float)
-    p_smooth.add_argument(
-        "--laplacian", dest="laplacian_kind", choices=["unnormalized", "normalized_random_walk"]
-    )
-    p_smooth.add_argument("--mode", choices=["closed_form", "coordinate_descent"])
+    p_smooth.add_argument("--laplacian", dest="laplacian_kind", choices=laplacian.KINDS)
+    p_smooth.add_argument("--mode", choices=smoother.MODES)
     p_smooth.add_argument("--epochs", type=int)
     p_smooth.add_argument("--seed", type=int)
-    p_smooth.add_argument("--discrepancy", choices=["squared", "kl"])
+    p_smooth.add_argument("--discrepancy", choices=smoother.DISCREPANCIES)
     p_smooth.add_argument("--tolerance", type=float)
     p_smooth.add_argument(
         "--no-nrw-lambda-scaling", dest="nrw_lambda_scaling", action="store_const", const=False
@@ -162,7 +160,7 @@ def _smoothing_config(args) -> smoother.SmoothingConfig:
         value = getattr(args, name, None)
         if value is not None:
             values[name] = value
-    return smoother.SmoothingConfig(**values).validate()
+    return smoother.SmoothingConfig(**values)
 
 
 def cmd_smooth(args) -> None:

@@ -41,9 +41,10 @@ class SimilarityGraph:
     entry per unordered pair.  Construction puts any edge arrays in that
     form: a reversed pair (j, i) is stored as (i, j), the edges are sorted,
     and the weights of a pair given more than once are summed in input
-    order.  A self-loop raises SelfLoop and an index outside 0..n-1
-    IndexOutOfRange.  Contiguous int64/float64 arrays already in that form
-    are kept as they are, without a copy.
+    order.  A self-loop raises SelfLoop, an index outside 0..n-1
+    IndexOutOfRange, and a negative n or a weight that is not finite and
+    >= 0 InvalidParameter.  Contiguous int64/float64 arrays already in that
+    form are kept as they are, without a copy.
     """
 
     n: int
@@ -52,6 +53,8 @@ class SimilarityGraph:
     weights: np.ndarray
 
     def __post_init__(self):
+        if self.n < 0:
+            raise InvalidParameter(f"n must be >= 0, got {self.n}")
         rows, cols = (np.asarray(a) for a in (self.rows, self.cols))
         if rows.size and not (rows.dtype.kind in "iu" and cols.dtype.kind in "iu"):
             raise InvalidParameter(f"edge indices must be integers, got {rows.dtype} and {cols.dtype}")
@@ -66,6 +69,10 @@ class SimilarityGraph:
             if i == j:
                 raise SelfLoop(f"pair ({i}, {j}) is a self-loop")
             raise IndexOutOfRange(f"pair ({i}, {j}) out of range for n={self.n}")
+        # min and max propagate a NaN, and allocate nothing
+        if not (weights.min(initial=0.0) >= 0 and weights.max(initial=0.0) < np.inf):
+            k = np.argmin((weights >= 0) & (weights < np.inf))
+            raise InvalidParameter(f"pair ({rows[k]}, {cols[k]}) has weight {weights[k]}; weights must be finite and >= 0")
         if np.any(rows > cols):
             rows, cols = np.minimum(rows, cols), np.maximum(rows, cols)
         if not np.all((rows[1:] > rows[:-1]) | ((rows[1:] == rows[:-1]) & (cols[1:] > cols[:-1]))):

@@ -11,7 +11,7 @@ are evaluated through the quadratic form directly, never via a Cholesky
 factor of Sigma.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -34,89 +34,86 @@ VALID_KINDS = ("euclidean", "mahalanobis", "projection_complement")
 
 @dataclass(frozen=True)
 class FairMetricSpec:
-    """Declarative description of a fair metric.
+    """Declarative description of a fair metric, checked when built.
 
-    ``sigma`` is set for the mahalanobis kind (and filled in during
-    validation for projection_complement); ``basis`` holds orthonormal rows
-    spanning the sensitive subspace for projection_complement.
+    ``sigma`` is set for the mahalanobis kind; ``basis`` holds orthonormal
+    rows spanning the sensitive subspace for projection_complement, whose
+    ``sigma`` is derived as the equivalent mahalanobis-form I - B^T B and
+    may not be passed.  Construction checks the kind and the fields it
+    takes, that sigma is finite, symmetric and PSD (tiny negative
+    eigenvalues, within tolerance, are clamped to zero) and that the basis
+    rows are orthonormal.  The stored arrays are read-only float arrays.
     """
 
     kind: str
     sigma: Optional[np.ndarray] = None
     basis: Optional[np.ndarray] = None
 
+    def __post_init__(self):
+        if self.kind not in VALID_KINDS:
+            raise InvalidParameter(f"unknown metric kind {self.kind!r}")
+
+        if self.kind == "euclidean":
+            if self.sigma is not None or self.basis is not None:
+                raise InvalidParameter("euclidean metric takes no sigma/basis")
+            return
+
+        if self.kind == "mahalanobis":
+            if self.sigma is None:
+                raise InvalidParameter("mahalanobis metric requires sigma")
+            if self.basis is not None:
+                raise InvalidParameter("mahalanobis metric takes no basis")
+            sigma = np.asarray(self.sigma, dtype=float)
+            if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
+                raise InvalidParameter(f"sigma must be square, got {sigma.shape}")
+            if not np.all(np.isfinite(sigma)):
+                raise InvalidParameter("sigma has non-finite entries")
+            asym = np.max(np.abs(sigma - sigma.T)) if sigma.size else 0.0
+            if asym > SYMMETRY_TOL:
+                raise NonSymmetric(
+                    f"sigma is not symmetric: max |S - S^T| = {asym:.3e}"
+                )
+            sigma = 0.5 * (sigma + sigma.T)
+            eigvals, eigvecs = np.linalg.eigh(sigma)
+            lowest = eigvals.min(initial=0.0)  # a 0 x 0 sigma, like euclidean in d = 0
+            if lowest < -PSD_TOL:
+                raise NotPSD(f"sigma has negative eigenvalue {lowest:.6e}")
+            if lowest < 0.0:
+                # clamp numerically-indefinite matrices to the PSD cone
+                eigvals = np.clip(eigvals, 0.0, None)
+                sigma = (eigvecs * eigvals) @ eigvecs.T
+                sigma = 0.5 * (sigma + sigma.T)
+            arrays = {"sigma": sigma}
+        else:  # projection_complement
+            if self.basis is None:
+                raise InvalidParameter("projection_complement metric requires basis")
+            if self.sigma is not None:
+                raise InvalidParameter("projection_complement metric takes no sigma; it is I - B^T B")
+            basis = np.asarray(self.basis, dtype=float)
+            if basis.ndim != 2:
+                raise InvalidParameter(f"basis must be 2-d, got shape {basis.shape}")
+            if not np.all(np.isfinite(basis)):
+                raise InvalidParameter("basis has non-finite entries")
+            gram = basis @ basis.T
+            dev = np.max(np.abs(gram - np.eye(basis.shape[0])))
+            if dev > ORTHONORMAL_TOL:
+                worst = int(np.unravel_index(np.argmax(np.abs(gram - np.eye(basis.shape[0]))), gram.shape)[0])
+                raise NonOrthonormalBasis(
+                    f"basis rows are not orthonormal (max deviation {dev:.3e}, row {worst})"
+                )
+            d = basis.shape[1]
+            sigma = np.eye(d) - basis.T @ basis
+            sigma = 0.5 * (sigma + sigma.T)
+            arrays = {"sigma": sigma, "basis": basis}
+        for name, a in arrays.items():
+            a = a.view()  # the caller's basis array stays writable
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+
     @property
     def dimension(self) -> Optional[int]:
         """Input dimension, or None for the dimension-free euclidean kind."""
-        if self.sigma is not None:
-            return self.sigma.shape[0]
-        if self.basis is not None:
-            return self.basis.shape[1]
-        return None
-
-
-def validate_metric(spec: FairMetricSpec) -> FairMetricSpec:
-    """Check a raw spec and return it in canonical form.
-
-    Symmetry and positive semi-definiteness are verified for mahalanobis;
-    orthonormality of the basis rows for projection_complement, which is
-    then rewritten as an equivalent mahalanobis-form Sigma = I - B^T B.
-    Tiny negative eigenvalues (within tolerance) are clamped to zero.
-    """
-    if spec.kind not in VALID_KINDS:
-        raise InvalidParameter(f"unknown metric kind {spec.kind!r}")
-
-    if spec.kind == "euclidean":
-        if spec.sigma is not None or spec.basis is not None:
-            raise InvalidParameter("euclidean metric takes no sigma/basis")
-        return spec
-
-    if spec.kind == "mahalanobis":
-        if spec.sigma is None:
-            raise InvalidParameter("mahalanobis metric requires sigma")
-        if spec.basis is not None:
-            raise InvalidParameter("mahalanobis metric takes no basis")
-        sigma = np.asarray(spec.sigma, dtype=float)
-        if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
-            raise InvalidParameter(f"sigma must be square, got {sigma.shape}")
-        if not np.all(np.isfinite(sigma)):
-            raise InvalidParameter("sigma has non-finite entries")
-        asym = np.max(np.abs(sigma - sigma.T)) if sigma.size else 0.0
-        if asym > SYMMETRY_TOL:
-            raise NonSymmetric(
-                f"sigma is not symmetric: max |S - S^T| = {asym:.3e}"
-            )
-        sigma = 0.5 * (sigma + sigma.T)
-        eigvals, eigvecs = np.linalg.eigh(sigma)
-        lowest = eigvals.min(initial=0.0)  # a 0 x 0 sigma, like euclidean in d = 0
-        if lowest < -PSD_TOL:
-            raise NotPSD(f"sigma has negative eigenvalue {lowest:.6e}")
-        if lowest < 0.0:
-            # clamp numerically-indefinite matrices to the PSD cone
-            eigvals = np.clip(eigvals, 0.0, None)
-            sigma = (eigvecs * eigvals) @ eigvecs.T
-            sigma = 0.5 * (sigma + sigma.T)
-        return replace(spec, sigma=sigma)
-
-    # projection_complement
-    if spec.basis is None:
-        raise InvalidParameter("projection_complement metric requires basis")
-    basis = np.asarray(spec.basis, dtype=float)
-    if basis.ndim != 2:
-        raise InvalidParameter(f"basis must be 2-d, got shape {basis.shape}")
-    if not np.all(np.isfinite(basis)):
-        raise InvalidParameter("basis has non-finite entries")
-    gram = basis @ basis.T
-    dev = np.max(np.abs(gram - np.eye(basis.shape[0])))
-    if dev > ORTHONORMAL_TOL:
-        worst = int(np.unravel_index(np.argmax(np.abs(gram - np.eye(basis.shape[0]))), gram.shape)[0])
-        raise NonOrthonormalBasis(
-            f"basis rows are not orthonormal (max deviation {dev:.3e}, row {worst})"
-        )
-    d = basis.shape[1]
-    sigma = np.eye(d) - basis.T @ basis
-    sigma = 0.5 * (sigma + sigma.T)
-    return replace(spec, sigma=sigma)
+        return None if self.sigma is None else self.sigma.shape[0]
 
 
 def _check_vector(spec: FairMetricSpec, x: np.ndarray) -> np.ndarray:
@@ -213,23 +210,19 @@ def _fair_distances(sigma, deltas, out: np.ndarray) -> np.ndarray:
     return np.sqrt(out, out=out)
 
 
-def pairwise_fair_distances(
-    spec: FairMetricSpec, X: np.ndarray, block_size: int = BLOCK_SIZE
-) -> np.ndarray:
+def pairwise_fair_distances(spec: FairMetricSpec, X: np.ndarray) -> np.ndarray:
     """All pairwise fair distances between the rows of X.
 
-    Computed in row blocks of ``block_size`` into the n x n result, so
+    Computed in row blocks of ``BLOCK_SIZE`` into the n x n result, so
     peak memory stays at O(block * n * d) beyond it.  Each entry is the one
     :func:`pair_fair_distances` gives for its pair, so for finite X the
     diagonal is zero and the result is exactly symmetric.
     """
-    if block_size < 1:
-        raise InvalidParameter("block_size must be >= 1")
     XT = check_points(spec, X).T.copy()  # one contiguous row per coordinate
     n = XT.shape[1]
     dist = np.empty((n, n))
-    for start in range(0, n, block_size):
-        stop = min(start + block_size, n)
+    for start in range(0, n, BLOCK_SIZE):
+        stop = min(start + BLOCK_SIZE, n)
         deltas = [x[start:stop, None] - x for x in XT]
         _fair_distances(spec.sigma, deltas, dist[start:stop])
     return dist
@@ -254,30 +247,21 @@ def pair_fair_distances(
 
 
 def metric_spec_from_json(obj: dict) -> FairMetricSpec:
-    """Build and validate a metric from its JSON representation.
+    """Build a metric from its JSON representation.
 
-    The object must contain ``kind`` plus exactly the fields that kind
-    requires; extra fields are rejected.
+    The object holds ``kind`` and the numeric arrays ``sigma`` and
+    ``basis``; :class:`FairMetricSpec` checks which of them the kind takes.
     """
     if not isinstance(obj, dict):
         raise InvalidParameter("metric spec must be a JSON object")
-    kind = obj.get("kind")
-    if kind not in VALID_KINDS:
-        raise InvalidParameter(f"unknown metric kind {kind!r}")
-    required = {
-        "euclidean": set(),
-        "mahalanobis": {"sigma"},
-        "projection_complement": {"basis"},
-    }[kind]
-    fields = set(obj) - {"kind"}
-    if fields != required:
-        raise InvalidParameter(
-            f"metric kind {kind!r} requires fields {sorted(required)}, got {sorted(fields)}"
-        )
+    unknown = sorted(set(obj) - {"kind", "sigma", "basis"})
+    if unknown:
+        raise InvalidParameter(f"unknown metric spec keys {unknown}")
     arrays = {}
-    for name in required:
-        try:
-            arrays[name] = np.asarray(obj[name], dtype=float)
-        except (TypeError, ValueError):
-            raise InvalidParameter(f"metric field {name!r} must be a numeric array")
-    return validate_metric(FairMetricSpec(kind=kind, **arrays))
+    for name in ("sigma", "basis"):
+        if name in obj:
+            try:
+                arrays[name] = np.asarray(obj[name], dtype=float)
+            except (TypeError, ValueError):
+                raise InvalidParameter(f"metric field {name!r} must be a numeric array")
+    return FairMetricSpec(kind=obj.get("kind"), **arrays)

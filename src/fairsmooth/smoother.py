@@ -39,6 +39,7 @@ from .errors import (
 )
 from .graph import SimilarityGraph, average_degree
 from .laplacian import (
+    KINDS,
     NORMALIZED_RW,
     UNNORMALIZED,
     LaplacianOperator,
@@ -61,6 +62,9 @@ DEFAULT_DENSE_LIMIT = 10_000
 # iteration bound (see _cg_iteration_bound)
 CG_ITERATION_CAP = 10
 
+# the values SmoothingConfig accepts, and the CLI's choices
+MODES = ("closed_form", "coordinate_descent")
+DISCREPANCIES = ("squared", "kl")
 
 # config fields declared int or float accept any integral or real number
 # (numpy scalars included), never a bool
@@ -77,6 +81,8 @@ class SmoothingConfig:
     """Parameters of a smoothing run; mirrors the JSON config file.
 
     The JSON keys are the field names, with ``lambda`` for ``lam``.
+    Construction, ``dataclasses.replace`` included, checks every field's
+    type and value and raises InvalidParameter.
     ``tolerance`` bounds the certified residual, relative to
     max(1, ||y_k||_inf), of conjugate gradient and of the ``converged`` flag,
     and is the largest coordinate change at which coordinate descent stops.
@@ -84,15 +90,15 @@ class SmoothingConfig:
 
     lam: float = 1.0
     laplacian_kind: str = UNNORMALIZED
-    mode: str = "closed_form"  # or "coordinate_descent"
+    mode: str = "closed_form"  # one of MODES
     epochs: int = 10
     seed: int = 0
-    discrepancy: str = "squared"  # or "kl"
+    discrepancy: str = "squared"  # one of DISCREPANCIES
     nrw_lambda_scaling: bool = True
     tolerance: float = 1e-9
     dense_limit: int = DEFAULT_DENSE_LIMIT
 
-    def validate(self) -> "SmoothingConfig":
+    def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, bool) != (f.type is bool) or not isinstance(
@@ -102,13 +108,13 @@ class SmoothingConfig:
                     f"{f.name} must be of type {f.type.__name__}, got {value!r}"
                 )
         _check_lambda(self.lam)
-        if self.laplacian_kind not in (UNNORMALIZED, NORMALIZED_RW):
+        if self.laplacian_kind not in KINDS:
             raise InvalidParameter(f"unknown laplacian kind {self.laplacian_kind!r}")
-        if self.mode not in ("closed_form", "coordinate_descent"):
+        if self.mode not in MODES:
             raise InvalidParameter(f"unknown mode {self.mode!r}")
         if self.epochs < 1:
             raise InvalidParameter("epochs must be >= 1")
-        if self.discrepancy not in ("squared", "kl"):
+        if self.discrepancy not in DISCREPANCIES:
             raise InvalidParameter(f"unknown discrepancy {self.discrepancy!r}")
         if self.discrepancy == "kl" and self.laplacian_kind != UNNORMALIZED:
             raise InvalidParameter("kl discrepancy requires the unnormalized laplacian")
@@ -116,7 +122,6 @@ class SmoothingConfig:
             raise InvalidParameter("tolerance must be positive")
         if self.dense_limit < 0:
             raise InvalidParameter("dense_limit must be >= 0")
-        return self
 
 
 def _as_outputs(yhat: np.ndarray, n: int) -> np.ndarray:
@@ -329,7 +334,6 @@ def smooth_coordinate_descent(
     epoch, updated in place (Gauss-Seidel), and the sweep stops early once
     the largest coordinate change falls below the tolerance.
     """
-    config = config.validate()
     y = _as_outputs(yhat, L.n)
     squeeze = np.asarray(yhat).ndim == 1
     S = L.symmetrized()
@@ -440,7 +444,6 @@ def smooth_kl(yhat_probs: np.ndarray, L_un: LaplacianOperator, lam: float) -> np
     if L_un.kind != UNNORMALIZED:
         raise InvalidParameter("kl smoothing requires the unnormalized laplacian")
     eta = to_natural_params(np.atleast_2d(yhat_probs))
-    _check_lambda(lam)
     f, _ = _solve(eta, L_un, SmoothingConfig(lam=lam), {})
     return from_natural_params(f)
 
@@ -493,7 +496,6 @@ def run_smoothing(yhat: np.ndarray, g: SimilarityGraph, config: SmoothingConfig)
     Cholesky), the ``residual`` max |f - y + lambda sym(L) f| and whether
     it ``converged``: |r_k| <= tolerance * max(1, |y_k|) in every column k.
     """
-    config = config.validate()
     L = make_laplacian(g, config.laplacian_kind)
     lam = config.lam
     if config.laplacian_kind == NORMALIZED_RW and config.nrw_lambda_scaling:

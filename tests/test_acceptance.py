@@ -23,14 +23,13 @@ from fairsmooth import (
     smooth_closed_form,
     smooth_coordinate_descent,
     to_natural_params,
-    validate_metric,
     violation_histogram,
 )
 from fairsmooth.laplacian import UNNORMALIZED, make_laplacian, unnormalized_laplacian
 from fairsmooth.smoother import SmoothingConfig
 from fairsmooth.synthcheck import SyntheticSpec, convergence_report
 
-EUCLID = validate_metric(FairMetricSpec("euclidean"))
+EUCLID = FairMetricSpec("euclidean")
 
 
 def report(num: int, ok: bool, summary: str) -> None:

@@ -100,6 +100,39 @@ class TestGraphBuild:
         assert code == 1
         assert_one_error_line(capsys, "InvalidParameter")
 
+    @pytest.mark.parametrize(
+        "spec,error",
+        [
+            ({"kind": "cosine"}, "InvalidParameter"),
+            ({"kind": "mahalanobis"}, "InvalidParameter"),
+            ({"kind": "euclidean", "sigma": [[1, 0], [0, 1]]}, "InvalidParameter"),
+            ({"kind": "projection_complement", "basis": [[1, 0]], "sigma": [[0, 0], [0, 1]]},
+             "InvalidParameter"),
+            ({"kind": "euclidean", "scale": 2}, "InvalidParameter"),
+            ({"kind": "mahalanobis", "sigma": [[1, "x"], [0, 1]]}, "InvalidParameter"),
+            ({"kind": "mahalanobis", "sigma": [[1, 0], [0, float("inf")]]}, "InvalidParameter"),
+            ({"kind": "mahalanobis", "sigma": [[1, 0.5], [0, 1]]}, "NonSymmetric"),
+            ({"kind": "mahalanobis", "sigma": [[1, 0], [0, -3]]}, "NotPSD"),
+            ({"kind": "projection_complement", "basis": [[1, 1]]}, "NonOrthonormalBasis"),
+        ],
+        ids=["unknown-kind", "missing-field", "extra-field", "derived-sigma", "unknown-key",
+             "non-numeric", "non-finite", "asymmetric", "indefinite", "non-orthonormal"],
+    )
+    def test_bad_metric_exit_code_1(self, tmp_path, capsys, spec, error):
+        out = tmp_path / "g.tsv"
+        code = main(
+            [
+                "graph", "build",
+                "--embeddings", write_embeddings(tmp_path, np.zeros((2, 2))),
+                "--metric", write_metric(tmp_path, spec),
+                "--tau", "1.0",
+                "--out", str(out),
+            ]
+        )
+        assert code == 1
+        assert_one_error_line(capsys, error)
+        assert not out.exists()
+
 
 class TestSmooth:
     def test_lambda_zero_identity(self, tmp_path):
@@ -267,6 +300,17 @@ def test_smooth_non_finite_edge_weight_exit_code_1(tmp_path, capsys, weight):
                  "--lambda", "1.0", "--out", str(out)])
     assert code == 1
     assert_one_error_line(capsys, "ParseError")
+    assert not out.exists()
+
+
+def test_smooth_negative_n_exit_code_1(tmp_path, capsys):
+    graph = tmp_path / "graph.tsv"
+    graph.write_text("# n=-1\n")
+    out = tmp_path / "smoothed.csv"
+    code = main(["smooth", "--graph", str(graph), "--outputs", write_outputs(tmp_path, [0.0]),
+                 "--lambda", "1.0", "--out", str(out)])
+    assert code == 1
+    assert_one_error_line(capsys, "InvalidParameter")
     assert not out.exists()
 
 

@@ -17,7 +17,6 @@ from fairsmooth import (
     run_smoothing,
     smooth_conjugate_gradient,
     to_natural_params,
-    validate_metric,
 )
 from fairsmooth.cli import main
 from fairsmooth.errors import InvalidParameter, NotConverged
@@ -25,7 +24,7 @@ from fairsmooth.graph import SimilarityGraph, write_edge_list
 from fairsmooth.io import write_matrix_csv
 from fairsmooth.laplacian import NORMALIZED_RW, UNNORMALIZED, make_laplacian
 
-EUCLID = validate_metric(FairMetricSpec("euclidean"))
+EUCLID = FairMetricSpec("euclidean")
 EPS = np.finfo(float).eps
 TOL = SmoothingConfig().tolerance
 

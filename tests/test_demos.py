@@ -2,9 +2,12 @@
 
 Demo 02 (local against global fairness) is left out: its global Dykstra
 projection takes about 50 s, too long for the tier-1 suite until the
-baseline is vectorized.
+baseline is vectorized.  Every demo, demo 02 included, is parsed to check
+that each name it imports from fairsmooth exists.
 """
 
+import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -13,6 +16,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted(p.name for p in (ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("demo", ["01_smoothing_basics.py", "03_asymptotic_limits.py"])
@@ -25,3 +29,21 @@ def test_demo_exits_zero(demo):
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_imports_exist(demo):
+    tree = ast.parse((ROOT / "demos" / demo).read_text(encoding="utf-8"))
+    imported = 0
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [(a.name, None) for a in node.names if a.name.split(".")[0] == "fairsmooth"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "fairsmooth":
+            names = [(node.module, a.name) for a in node.names]
+        else:
+            continue
+        for module, name in names:
+            mod = importlib.import_module(module)
+            assert name is None or hasattr(mod, name), f"{demo}: {module} has no {name}"
+            imported += 1
+    assert imported > 0

@@ -8,7 +8,6 @@ from fairsmooth import (
     degrees,
     graph_from_annotations,
     read_edge_list,
-    validate_metric,
     write_edge_list,
 )
 from fairsmooth.errors import (
@@ -21,7 +20,7 @@ from fairsmooth.errors import (
 from fairsmooth.graph import WEIGHT_FLOOR, SimilarityGraph
 from fairsmooth.metric import pairwise_fair_distances
 
-EUCLID = validate_metric(FairMetricSpec("euclidean"))
+EUCLID = FairMetricSpec("euclidean")
 
 
 def triangle():
@@ -120,11 +119,19 @@ class TestBuildSimilarityGraph:
         X = np.empty((groups * variants, 5))
         X[:, 1:] = np.repeat(rng.uniform(0.0, cube, size=(groups, 4)), variants, axis=0)
         X[:, 0] = rng.uniform(-1.0, 1.0, size=groups * variants)
-        metric = validate_metric(FairMetricSpec("projection_complement", basis=np.eye(5)[:1]))
+        metric = FairMetricSpec("projection_complement", basis=np.eye(5)[:1])
         g = build_similarity_graph(X, metric, theta=1.0, tau=1.0)
         same = g.rows // variants == g.cols // variants
         assert np.count_nonzero(same) == groups * variants * (variants - 1) // 2
         assert np.all(g.weights[same] == 1.0)
+
+    def test_projection_spec_used_as_built(self):
+        # the sensitive coordinate 0 is projected out with no call besides
+        # the constructor; the unprojected spec used to keep no edge here
+        metric = FairMetricSpec("projection_complement", basis=[[1, 0]])
+        X = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 5.0]])
+        g = build_similarity_graph(X, metric, theta=1.0, tau=0.5)
+        assert g.edges == [(0, 1, 1.0)]
 
     def test_edges_sorted(self):
         rng = np.random.default_rng(7)
@@ -216,6 +223,17 @@ class TestCanonicalForm:
     def test_arrays_of_different_lengths_rejected(self):
         with pytest.raises(DimensionMismatch):
             SimilarityGraph(n=3, rows=[0, 1], cols=[1, 2], weights=[1.0])
+
+    def test_negative_n_rejected(self):
+        with pytest.raises(InvalidParameter, match="^n must be >= 0, got -1$"):
+            SimilarityGraph(n=-1, rows=[], cols=[], weights=[])
+        assert SimilarityGraph(n=0, rows=[], cols=[], weights=[]).n == 0
+
+    @pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf, -0.5])
+    def test_bad_weight_rejected(self, weight):
+        # a NaN weight used to reach the solver and fail there with a bare ValueError
+        with pytest.raises(InvalidParameter, match=r"^pair \(2, 1\) has weight"):
+            SimilarityGraph(n=3, rows=[0, 2], cols=[1, 1], weights=[0.0, weight])
 
 
 class TestDegrees:
@@ -339,6 +357,13 @@ class TestEdgeListIO:
         g = read_edge_list(path)
         assert g.n == 3
         assert g.edges == [(0, 1, 0.5), (1, 2, 0.25)]
+
+    def test_negative_n_header_rejected(self, tmp_path):
+        # read as a graph with n = -1, whose Laplacian failed with a bare ValueError
+        path = tmp_path / "edges.tsv"
+        path.write_text("# n=-1\n")
+        with pytest.raises(InvalidParameter, match="n must be >= 0"):
+            read_edge_list(path)
 
     def test_header_only_is_empty_graph(self, tmp_path):
         path = tmp_path / "edges.tsv"

@@ -8,11 +8,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from fairsmooth import FairMetricSpec, build_similarity_graph, validate_metric  # noqa: E402
+from fairsmooth import FairMetricSpec, build_similarity_graph  # noqa: E402
 from fairsmooth.graph import WEIGHT_FLOOR  # noqa: E402
 from fairsmooth.metric import pairwise_fair_distances  # noqa: E402
 
-EUCLID = validate_metric(FairMetricSpec("euclidean"))
+EUCLID = FairMetricSpec("euclidean")
 
 METRIC_KINDS = ("euclidean", "full_rank", "rank_deficient", "projection_complement", "zero")
 
@@ -22,18 +22,18 @@ def make_metric(kind, d, rng):
         return EUCLID
     if kind == "full_rank":
         A = rng.normal(size=(d, d))
-        return validate_metric(FairMetricSpec("mahalanobis", sigma=A.T @ A + 0.1 * np.eye(d)))
+        return FairMetricSpec("mahalanobis", sigma=A.T @ A + 0.1 * np.eye(d))
     if kind == "rank_deficient":
         A = rng.normal(size=(max(d - 1, 1), d))
         sigma = A.T @ A if d > 1 else np.zeros((1, 1))
-        return validate_metric(FairMetricSpec("mahalanobis", sigma=sigma))
+        return FairMetricSpec("mahalanobis", sigma=sigma)
     if kind == "projection_complement":
         # k = d leaves Sigma = I - B^T B zero only to rounding, with
         # eigenvalues of either sign
         k = int(rng.integers(1, d + 1))
         B = np.linalg.qr(rng.normal(size=(d, k)))[0].T
-        return validate_metric(FairMetricSpec("projection_complement", basis=B))
-    return validate_metric(FairMetricSpec("mahalanobis", sigma=np.zeros((d, d))))
+        return FairMetricSpec("projection_complement", basis=B)
+    return FairMetricSpec("mahalanobis", sigma=np.zeros((d, d)))
 
 
 def all_pairs_selection(X, metric, theta, tau):
@@ -91,7 +91,7 @@ class TestCandidatePairsMatchAllPairs:
         rng = np.random.default_rng(11)
         X = rng.uniform(0.0, 3.0, size=(1030, 3))
         basis = np.linalg.qr(rng.normal(size=(3, 1)))[0].T
-        metric = validate_metric(FairMetricSpec("projection_complement", basis=basis))
+        metric = FairMetricSpec("projection_complement", basis=basis)
         g = assert_matches_all_pairs(X, metric, 1.0, 0.5)
         assert np.any(g.rows < 1024) and np.any(g.cols >= 1024)
         assert 0 < g.num_edges < 1030 * 1029 // 2

@@ -10,13 +10,12 @@ from fairsmooth import (
     normalized_rw_laplacian,
     quadratic_form,
     unnormalized_laplacian,
-    validate_metric,
 )
 from fairsmooth.errors import DimensionMismatch
 from fairsmooth.graph import SimilarityGraph
 from fairsmooth.laplacian import KINDS, NORMALIZED_RW, UNNORMALIZED, make_laplacian
 
-EUCLID = validate_metric(FairMetricSpec("euclidean"))
+EUCLID = FairMetricSpec("euclidean")
 
 
 def random_graph(rng, n, p=0.4):

@@ -19,7 +19,6 @@ from fairsmooth import (
     convergence_report,
     run_smoothing,
     smooth_kl,
-    validate_metric,
 )
 from fairsmooth.graph import SimilarityGraph
 from fairsmooth.laplacian import UNNORMALIZED, make_laplacian
@@ -45,9 +44,7 @@ def peak_bytes(fn):
 def test_graph_build_below_one_dense_array():
     rng = np.random.default_rng(0)
     X = rng.uniform(0.0, 3.0, size=(N, 5))
-    metric = validate_metric(
-        FairMetricSpec("projection_complement", basis=np.eye(5)[:1])
-    )
+    metric = FairMetricSpec("projection_complement", basis=np.eye(5)[:1])
     g, peak = peak_bytes(lambda: build_similarity_graph(X, metric, theta=1.0, tau=1.0))
     assert g.num_edges > 10 * N
     assert peak < DENSE_BYTES
@@ -57,7 +54,7 @@ def test_graph_build_below_one_dense_array():
 def sparse_problem():
     rng = np.random.default_rng(1)
     X = rng.uniform(0.0, 5.0, size=(N, 3))
-    g = build_similarity_graph(X, validate_metric(FairMetricSpec("euclidean")), theta=1.0, tau=1.0)
+    g = build_similarity_graph(X, FairMetricSpec("euclidean"), theta=1.0, tau=1.0)
     return g, rng.uniform(size=(N, 2))
 
 

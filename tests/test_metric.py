@@ -8,8 +8,8 @@ from fairsmooth import (
     fair_distance,
     metric_spec_from_json,
     pairwise_fair_distances,
-    validate_metric,
 )
+from fairsmooth import metric as metric_mod
 from fairsmooth.metric import PAIR_CHUNK, check_pairs, pair_fair_distances
 from fairsmooth.errors import (
     DimensionMismatch,
@@ -22,7 +22,7 @@ from fairsmooth.errors import (
 
 
 def mahalanobis(sigma):
-    return validate_metric(FairMetricSpec("mahalanobis", sigma=np.asarray(sigma, float)))
+    return FairMetricSpec("mahalanobis", sigma=sigma)
 
 
 class TestValidateMetric:
@@ -40,16 +40,12 @@ class TestValidateMetric:
             mahalanobis([[1.0, 0.5], [0.0, 1.0]])
 
     def test_projection_complement_canonical_sigma(self):
-        spec = validate_metric(
-            FairMetricSpec("projection_complement", basis=np.array([[1.0, 0.0]]))
-        )
+        spec = FairMetricSpec("projection_complement", basis=np.array([[1.0, 0.0]]))
         assert np.allclose(spec.sigma, [[0.0, 0.0], [0.0, 1.0]])
 
     def test_non_orthonormal_basis_rejected(self):
         with pytest.raises(NonOrthonormalBasis):
-            validate_metric(
-                FairMetricSpec("projection_complement", basis=np.array([[1.0, 1.0]]))
-            )
+            FairMetricSpec("projection_complement", basis=np.array([[1.0, 1.0]]))
 
     def test_tiny_negative_eigenvalue_clamped(self):
         sigma = np.eye(2) * 1.0
@@ -60,13 +56,59 @@ class TestValidateMetric:
 
     def test_zero_dimensional_sigma(self):
         # as the euclidean kind in d = 0: every distance is 0
-        spec = validate_metric(FairMetricSpec("mahalanobis", sigma=np.zeros((0, 0))))
+        spec = FairMetricSpec("mahalanobis", sigma=np.zeros((0, 0)))
         assert spec.sigma.shape == (0, 0)
         assert np.array_equal(pairwise_fair_distances(spec, np.empty((3, 0))), np.zeros((3, 3)))
 
     def test_unknown_kind(self):
         with pytest.raises(InvalidParameter):
-            validate_metric(FairMetricSpec("cosine"))
+            FairMetricSpec("cosine")
+
+    def test_indefinite_diagonal_rejected(self):
+        # diag(1, -3) used to be taken as given, with weight 1 for pairs 5 apart
+        with pytest.raises(NotPSD, match="-3"):
+            FairMetricSpec("mahalanobis", sigma=np.diag([1.0, -3.0]))
+
+    @pytest.mark.parametrize(
+        "fields,message",
+        [
+            ({"kind": "euclidean", "sigma": np.eye(2)}, "euclidean metric takes no"),
+            ({"kind": "euclidean", "basis": np.eye(2)[:1]}, "euclidean metric takes no"),
+            ({"kind": "mahalanobis"}, "mahalanobis metric requires sigma"),
+            ({"kind": "mahalanobis", "sigma": np.eye(2), "basis": np.eye(2)[:1]}, "takes no basis"),
+            ({"kind": "projection_complement"}, "requires basis"),
+            # sigma is derived from the basis, never taken from the caller
+            ({"kind": "projection_complement", "sigma": np.eye(2), "basis": np.eye(2)[:1]},
+             "takes no sigma"),
+        ],
+    )
+    def test_wrong_fields_rejected(self, fields, message):
+        with pytest.raises(InvalidParameter, match=message):
+            FairMetricSpec(**fields)
+
+    def test_arrays_read_only(self):
+        basis = np.array([[0.0, 1.0]])
+        spec = FairMetricSpec("projection_complement", basis=basis)
+        assert not spec.sigma.flags.writeable and not spec.basis.flags.writeable
+        assert basis.flags.writeable
+        assert not mahalanobis(np.eye(2)).sigma.flags.writeable
+
+
+class TestCheckedWhenBuilt:
+    """A spec is canonical as built; there is no second call to forget."""
+
+    SPEC = FairMetricSpec("projection_complement", basis=[[1, 0]])
+    X = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 5.0]])
+
+    def test_fair_distance_projects(self):
+        assert fair_distance(self.SPEC, self.X[0], self.X[1]) == 0.0
+        assert fair_distance(self.SPEC, self.X[0], self.X[2]) == 5.0
+
+    def test_pairwise_and_pair_distances_project(self):
+        expected = np.array([[0.0, 0.0, 5.0], [0.0, 0.0, 5.0], [5.0, 5.0, 0.0]])
+        assert np.array_equal(pairwise_fair_distances(self.SPEC, self.X), expected)
+        got = pair_fair_distances(self.SPEC, self.X, np.array([0, 0, 1]), np.array([1, 2, 2]))
+        assert np.array_equal(got, [0.0, 5.0, 5.0])
 
 
 class TestFairDistance:
@@ -85,7 +127,7 @@ class TestFairDistance:
         assert d == pytest.approx(np.sqrt(2.5), abs=1e-12)
 
     def test_euclidean_kind(self):
-        spec = validate_metric(FairMetricSpec("euclidean"))
+        spec = FairMetricSpec("euclidean")
         assert fair_distance(spec, np.zeros(2), np.array([3.0, 4.0])) == pytest.approx(5.0)
 
     def test_dimension_mismatch(self):
@@ -136,7 +178,7 @@ class TestPairwise:
         A = rng.normal(size=(3, 3))
         spec = mahalanobis(A.T @ A)
         X = rng.normal(size=(12, 3))
-        D = pairwise_fair_distances(spec, X, block_size=5)
+        D = pairwise_fair_distances(spec, X)
         for i in range(12):
             for j in range(12):
                 assert D[i, j] == pytest.approx(fair_distance(spec, X[i], X[j]), abs=1e-9)
@@ -146,7 +188,7 @@ class TestPairwise:
     def test_projection_equivalence(self):
         rng = np.random.default_rng(3)
         B = np.linalg.qr(rng.normal(size=(5, 2)))[0].T  # 2 orthonormal rows in R^5
-        proj = validate_metric(FairMetricSpec("projection_complement", basis=B))
+        proj = FairMetricSpec("projection_complement", basis=B)
         maha = mahalanobis(np.eye(5) - B.T @ B)
         X = rng.normal(size=(10, 5))
         D1 = pairwise_fair_distances(proj, X)
@@ -181,26 +223,29 @@ def assert_within_oracle(spec, X, D):
 
 
 class TestPairwiseMatchesReference:
+    # the entries must not depend on the row blocks they are computed in
     @pytest.mark.parametrize("block_size", [1, 7, 1024])
     @pytest.mark.parametrize("n", [1, 2, 23, 50])
-    def test_rank_deficient_sigma(self, n, block_size):
+    def test_rank_deficient_sigma(self, n, block_size, monkeypatch):
+        monkeypatch.setattr(metric_mod, "BLOCK_SIZE", block_size)
         rng = np.random.default_rng(100 + n)
         B = np.linalg.qr(rng.normal(size=(4, 2)))[0].T
-        spec = validate_metric(FairMetricSpec("projection_complement", basis=B))
+        spec = FairMetricSpec("projection_complement", basis=B)
         assert np.linalg.matrix_rank(spec.sigma) == 2
         X = rng.normal(size=(n, 4))
-        D = pairwise_fair_distances(spec, X, block_size=block_size)
+        D = pairwise_fair_distances(spec, X)
         assert_within_oracle(spec, X, D)
         assert np.array_equal(D, D.T)
         assert np.all(np.diag(D) == 0.0)
 
     @pytest.mark.parametrize("block_size", [1, 7, 1024])
-    def test_euclidean_and_full_rank(self, block_size):
+    def test_euclidean_and_full_rank(self, block_size, monkeypatch):
+        monkeypatch.setattr(metric_mod, "BLOCK_SIZE", block_size)
         rng = np.random.default_rng(7)
         X = rng.normal(size=(30, 3))
         A = rng.normal(size=(3, 3))
-        for spec in (validate_metric(FairMetricSpec("euclidean")), mahalanobis(A.T @ A)):
-            D = pairwise_fair_distances(spec, X, block_size=block_size)
+        for spec in (FairMetricSpec("euclidean"), mahalanobis(A.T @ A)):
+            D = pairwise_fair_distances(spec, X)
             assert_within_oracle(spec, X, D)
             assert np.array_equal(D, D.T)
             assert np.all(np.diag(D) == 0.0)
@@ -211,7 +256,7 @@ class TestPairwiseMatchesReference:
         rng = np.random.default_rng(8)
         X = 1e3 + rng.normal(size=(20, 5))
         A = rng.normal(size=(5, 5))
-        for spec in (validate_metric(FairMetricSpec("euclidean")), mahalanobis(A.T @ A)):
+        for spec in (FairMetricSpec("euclidean"), mahalanobis(A.T @ A)):
             assert_within_oracle(spec, X, pairwise_fair_distances(spec, X))
 
     def test_integer_grid_is_exact(self):
@@ -221,7 +266,7 @@ class TestPairwiseMatchesReference:
         X = rng.integers(-50, 51, size=(25, 3)).astype(float)
         A = rng.integers(-3, 4, size=(2, 3))
         spec = mahalanobis(A.T @ A)
-        D = pairwise_fair_distances(spec, X, block_size=4)
+        D = pairwise_fair_distances(spec, X)
         for i in range(25):
             for j in range(25):
                 delta = (X[i] - X[j]).astype(int)
@@ -237,7 +282,7 @@ class TestPairDistances:
         n = 400
         X = rng.normal(size=(n, 5)) * 10.0
         A = rng.normal(size=(5, 5))
-        spec = validate_metric(FairMetricSpec("euclidean")) if kind == "euclidean" else mahalanobis(A.T @ A)
+        spec = FairMetricSpec("euclidean") if kind == "euclidean" else mahalanobis(A.T @ A)
         iu, ju = np.triu_indices(n, k=1)
         swap = rng.random(iu.size) < 0.5
         rows, cols = np.where(swap, ju, iu), np.where(swap, iu, ju)

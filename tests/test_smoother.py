@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -15,7 +17,6 @@ from fairsmooth import (
     smooth_coordinate_descent,
     smooth_kl,
     to_natural_params,
-    validate_metric,
 )
 from fairsmooth.errors import (
     InvalidParameter,
@@ -30,7 +31,7 @@ from fairsmooth.laplacian import (
 )
 from fairsmooth.smoother import _cd_sweeps, objective
 
-EUCLID = validate_metric(FairMetricSpec("euclidean"))
+EUCLID = FairMetricSpec("euclidean")
 
 PATH2 = unnormalized_laplacian(graph_from_annotations([(0, 1)], n=2))
 
@@ -188,7 +189,7 @@ class TestLambdaMustBeFinite:
     @pytest.mark.parametrize("lam", NON_FINITE)
     def test_config_validate(self, lam):
         with pytest.raises(InvalidParameter, match="lambda must be finite"):
-            SmoothingConfig(lam=lam).validate()
+            SmoothingConfig(lam=lam)
 
     @pytest.mark.parametrize("lam", NON_FINITE)
     def test_closed_form(self, lam):
@@ -226,23 +227,47 @@ class TestConfigTypes:
     def test_wrong_type_rejected(self, fields):
         name = next(iter(fields))
         with pytest.raises(InvalidParameter, match=f"^{name} must be of type"):
-            SmoothingConfig(**fields).validate()
+            SmoothingConfig(**fields)
 
     def test_numpy_scalars_accepted(self):
         config = SmoothingConfig(
             lam=np.float64(0.5), epochs=np.int64(3), tolerance=np.float32(1e-6), seed=np.int32(1)
         )
-        assert config.validate() is config
+        assert (config.lam, config.epochs, config.seed) == (0.5, 3, 1)
 
     def test_integer_lambda_accepted(self):
-        assert SmoothingConfig(lam=2).validate().lam == 2
+        assert SmoothingConfig(lam=2).lam == 2
 
     def test_negative_dense_limit_rejected(self):
         with pytest.raises(InvalidParameter, match="dense_limit"):
-            SmoothingConfig(dense_limit=-5).validate()
+            SmoothingConfig(dense_limit=-5)
 
     def test_zero_dense_limit_accepted(self):
-        assert SmoothingConfig(dense_limit=0).validate().dense_limit == 0
+        assert SmoothingConfig(dense_limit=0).dense_limit == 0
+
+
+# one bad value per check of SmoothingConfig, with the message it raises
+BAD_CONFIG_VALUES = [
+    ({"lam": -1.0}, "lambda must be finite"),
+    ({"lam": np.nan}, "lambda must be finite"),
+    ({"laplacian_kind": "symmetric"}, "unknown laplacian kind"),
+    ({"mode": "exact"}, "unknown mode"),
+    ({"epochs": 0}, "epochs must be >= 1"),
+    ({"discrepancy": "hinge"}, "unknown discrepancy"),
+    ({"discrepancy": "kl", "laplacian_kind": NORMALIZED_RW}, "kl discrepancy requires"),
+    ({"tolerance": 0.0}, "tolerance must be positive"),
+    ({"tolerance": np.nan}, "tolerance must be positive"),
+    ({"dense_limit": -1}, "dense_limit must be >= 0"),
+    ({"epochs": 2.0}, "epochs must be of type int"),
+]
+
+
+@pytest.mark.parametrize("fields,message", BAD_CONFIG_VALUES)
+def test_config_checked_when_built_and_replaced(fields, message):
+    with pytest.raises(InvalidParameter, match=message):
+        SmoothingConfig(**fields)
+    with pytest.raises(InvalidParameter, match=message):
+        replace(SmoothingConfig(lam=0.5, epochs=3), **fields)
 
 
 class TestInductive:
@@ -521,7 +546,7 @@ class TestRunSmoothing:
 
     def test_kl_discrepancy_config_validation(self):
         with pytest.raises(InvalidParameter):
-            SmoothingConfig(discrepancy="kl", laplacian_kind=NORMALIZED_RW).validate()
+            SmoothingConfig(discrepancy="kl", laplacian_kind=NORMALIZED_RW)
 
 
 class TestRunSmoothingShapes:
