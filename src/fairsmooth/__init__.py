@@ -9,7 +9,6 @@ the two Laplacian regularizers.
 """
 
 from .baseline import (
-    LipschitzConstraint,
     constraints_from_distances,
     count_violations,
     global_if_project,
@@ -17,7 +16,6 @@ from .baseline import (
 )
 from .errors import FairSmoothError
 from .evalmetrics import (
-    EvaluationReport,
     GroupedPredictions,
     accuracy,
     balanced_accuracy,

@@ -6,10 +6,15 @@ projections.  Plain cyclic projection would only find a feasible point;
 Dykstra's correction terms make the limit the actual projection, matching
 the argmin formulation.  This method is the scalability baseline: it is
 quadratic in the number of pairs and is not meant for large n.
+
+A constraint is one row (i, j, bound) of a table, given as a sequence of
+triples or an (m, 3) array, and checked by :func:`check_pairs` like a
+fair-distance pair: integer indices inside 0..n-1 with i != j, and a
+finite bound >= 0.  Rows are unordered pairs: (j, i, b) is the constraint
+(i, j, b), and :func:`count_violations` reports each pair as (min, max).
 """
 
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -20,35 +25,20 @@ DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 10_000
 
 
-@dataclass(frozen=True)
-class LipschitzConstraint:
-    """||f_i - f_j||_2 <= bound, with bound = L * d(x_i, x_j)."""
-
-    i: int
-    j: int
-    bound: float
-
-    def __post_init__(self):
-        if not self.i < self.j:
-            raise InvalidParameter(f"constraint requires i < j, got ({self.i}, {self.j})")
-        if self.bound < 0:
-            raise InvalidParameter(f"constraint bound must be >= 0, got {self.bound}")
-
-
-def constraints_from_distances(
-    pairs: Sequence[Tuple[int, int, float]], lipschitz: float
-) -> List[LipschitzConstraint]:
-    """Turn (i, j, fair distance) triples, or an (m, 3) array, into constraints with bound L*d."""
+def constraints_from_distances(pairs, lipschitz: float) -> np.ndarray:
+    """The (m, 3) constraint table [i, j, L*d] of (i, j, fair distance)
+    triples, given as a sequence or an (m, 3) array."""
     if not 0 < lipschitz < np.inf:
         raise InvalidParameter(f"lipschitz constant must be positive and finite, got {lipschitz}")
     i, j, d = check_pairs(pairs)
-    lo, hi, bounds = np.minimum(i, j).tolist(), np.maximum(i, j).tolist(), (lipschitz * d).tolist()
-    return [LipschitzConstraint(i=a, j=b, bound=c) for a, b, c in zip(lo, hi, bounds)]
+    return np.column_stack((i, j, lipschitz * d))
 
 
-def _constraint_arrays(constraints: Sequence[LipschitzConstraint], n: int):
-    """(i, j, bound) arrays of the constraints, in their order, checked against n."""
-    return check_pairs([(c.i, c.j, c.bound) for c in constraints], n)
+def _constraint_table(constraints, n: int):
+    """(i, j, bound) arrays of a constraint table, in row order, checked
+    against n, with every row stored as (min(i, j), max(i, j))."""
+    i, j, bounds = check_pairs(constraints, n)
+    return np.minimum(i, j), np.maximum(i, j), bounds
 
 
 def project_pair(f_i: np.ndarray, f_j: np.ndarray, bound: float):
@@ -71,14 +61,16 @@ def project_pair(f_i: np.ndarray, f_j: np.ndarray, bound: float):
 
 def global_if_project(
     yhat: np.ndarray,
-    constraints: Sequence[LipschitzConstraint],
+    constraints,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> np.ndarray:
     """Dykstra's projection of yhat onto the intersection of all constraints.
 
-    Sweeps the constraints in fixed lexicographic order, carrying one
-    correction per constraint.  Terminates when every constraint holds
+    ``constraints`` is a table of (i, j, bound) rows, as in the module
+    docstring.  Sweeps the rows in lexicographic order of their
+    (min(i, j), max(i, j)) pair, the rows of one pair in row order,
+    carrying one correction per row.  Terminates when every constraint holds
     within tol and the iterate moved less than tol over a full sweep.
     """
     if not 0 < tol < np.inf:
@@ -91,7 +83,7 @@ def global_if_project(
     squeeze = y.ndim == 1
     f = y[:, None].copy() if squeeze else y.copy()
     n, K = f.shape
-    ii, jj, bounds = _constraint_arrays(constraints, n)
+    ii, jj, bounds = _constraint_table(constraints, n)
     order = np.lexsort((jj, ii))
     ii, jj, bounds = ii[order], jj[order], bounds[order]
     if not ii.size:
@@ -127,15 +119,15 @@ def _excess(f: np.ndarray, ii: np.ndarray, jj: np.ndarray, bounds: np.ndarray) -
 
 def count_violations(
     f: np.ndarray,
-    constraints: Sequence[LipschitzConstraint],
+    constraints,
     slack: float = 0.0,
 ) -> List[Tuple[int, int, float]]:
-    """Pairs violating their bound by more than ``slack``, with the excess,
-    in the order of ``constraints``."""
+    """(min(i, j), max(i, j), excess) of the rows of ``constraints`` whose
+    pair violates its bound by more than ``slack``, in row order."""
     arr = np.asarray(f, dtype=float)
     if arr.ndim == 1:
         arr = arr[:, None]
-    ii, jj, bounds = _constraint_arrays(constraints, arr.shape[0])
+    ii, jj, bounds = _constraint_table(constraints, arr.shape[0])
     excess = _excess(arr, ii, jj, bounds)
     hit = excess > slack
     return list(zip(ii[hit].tolist(), jj[hit].tolist(), excess[hit].tolist()))

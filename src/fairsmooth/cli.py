@@ -225,28 +225,21 @@ def cmd_eval(args) -> None:
     grouped = evalmetrics.GroupedPredictions(
         outputs=outputs, group_of=group_of, is_original=is_original
     )
-    report = evalmetrics.EvaluationReport(
-        prediction_consistency=evalmetrics.prediction_consistency(
-            grouped, threshold=args.threshold
-        )
-    )
+    report = {"prediction_consistency": evalmetrics.prediction_consistency(grouped, threshold=args.threshold)}
     if args.labels:
         labels = io.read_labels_csv(args.labels)
-        report.accuracy = evalmetrics.accuracy(outputs, labels, threshold=args.threshold)
-        report.balanced_accuracy = evalmetrics.balanced_accuracy(
-            outputs, labels, threshold=args.threshold
-        )
+        report["accuracy"] = evalmetrics.accuracy(outputs, labels, threshold=args.threshold)
+        report["balanced_accuracy"] = evalmetrics.balanced_accuracy(outputs, labels, threshold=args.threshold)
     if args.distances:
         if args.lipschitz is None:
             raise ValidationError("--distances requires --lipschitz")
-        report.violation_histogram = evalmetrics.violation_histogram(
+        report["violation_histogram"] = evalmetrics.violation_histogram(
             outputs, io.read_pairs_tsv(args.distances), args.lipschitz, num_bins=args.bins
         )
-    payload = report.to_dict()
     if args.out:
-        io.write_json(args.out, payload)
+        io.write_json(args.out, report)
     else:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(report, indent=2, sort_keys=True))
 
 
 def cmd_check_limits(args) -> None:

@@ -7,8 +7,8 @@ original.  The violation histogram bins constrained pairs by fair distance
 and reports, per bin, how many pairs exceed their Lipschitz bound.
 """
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -24,12 +24,12 @@ from .metric import check_pairs
 DEFAULT_THRESHOLD = 0.5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupedPredictions:
     """Model outputs with an alteration-group structure.
 
     ``group_of[i]`` names the group of row i; ``is_original[i]`` marks the
-    one canonical member per group.
+    one canonical member per group.  Compared and hashed by identity.
     """
 
     outputs: np.ndarray
@@ -53,27 +53,6 @@ class GroupedPredictions:
         object.__setattr__(self, "outputs", outputs)
         object.__setattr__(self, "group_of", group_of)
         object.__setattr__(self, "is_original", is_original)
-
-
-@dataclass
-class EvaluationReport:
-    prediction_consistency: Optional[float] = None
-    accuracy: Optional[float] = None
-    balanced_accuracy: Optional[float] = None
-    output_std: Optional[float] = None
-    group_gap: Optional[float] = None
-    violation_histogram: Optional[List[Tuple[float, float, int, int]]] = None
-
-    def to_dict(self) -> Dict:
-        out = {}
-        for key, val in self.__dict__.items():
-            if val is None:
-                continue
-            if key == "violation_histogram":
-                out[key] = [[lo, hi, total, violated] for lo, hi, total, violated in val]
-            else:
-                out[key] = val
-        return out
 
 
 def predicted_classes(outputs: np.ndarray, threshold: float = DEFAULT_THRESHOLD) -> np.ndarray:

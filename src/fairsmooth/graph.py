@@ -32,7 +32,7 @@ DEFAULT_THETA = 1e-4
 EPS = np.finfo(float).eps
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimilarityGraph:
     """Sparse symmetric nonnegative weight matrix over n individuals.
 
@@ -44,7 +44,8 @@ class SimilarityGraph:
     order.  A self-loop raises SelfLoop, an index outside 0..n-1
     IndexOutOfRange, and a negative n or a weight that is not finite and
     >= 0 InvalidParameter.  Contiguous int64/float64 arrays already in that
-    form are kept as they are, without a copy.
+    form are kept as they are, without a copy.  Graphs compare and hash by
+    identity.
     """
 
     n: int

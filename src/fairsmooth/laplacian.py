@@ -25,12 +25,13 @@ NORMALIZED_RW = "normalized_random_walk"
 KINDS = (UNNORMALIZED, NORMALIZED_RW)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LaplacianOperator:
     """L as ``matrix`` and its symmetrization (L + L^T) / 2 as ``sym``.
 
     Both are CSR with sorted indices, built once with the operator; for the
-    unnormalized kind ``sym`` is ``matrix`` itself.
+    unnormalized kind ``sym`` is ``matrix`` itself.  Operators compare and
+    hash by identity.
     """
 
     kind: str

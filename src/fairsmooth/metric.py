@@ -32,7 +32,7 @@ ORTHONORMAL_TOL = 1e-8
 VALID_KINDS = ("euclidean", "mahalanobis", "projection_complement")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FairMetricSpec:
     """Declarative description of a fair metric, checked when built.
 
@@ -43,6 +43,7 @@ class FairMetricSpec:
     takes, that sigma is finite, symmetric and PSD (tiny negative
     eigenvalues, within tolerance, are clamped to zero) and that the basis
     rows are orthonormal.  The stored arrays are read-only float arrays.
+    Specs compare and hash by identity.
     """
 
     kind: str

@@ -249,11 +249,11 @@ def _pcg(y, A, diag, lam, bound, cap):
         r = np.empty_like(f)
         for k in range(len(f)):
             r[k] = y[k] - f[k] - lam * (A @ f[k])
-        residual = np.max(np.abs(r), axis=1)
+        residual = np.max(np.abs(r), axis=1, initial=0.0)
         # written so that a NaN residual never passes
         failing = ~(residual <= bound)
         if not failing.any():
-            return np.ascontiguousarray(f.T), iterations, float(np.max(residual))
+            return np.ascontiguousarray(f.T), iterations, float(np.max(residual, initial=0.0))
         z = inv_diag * r
         rz = np.sum(r * z, axis=1)
         active = failing & (rz >= tiny)
@@ -378,6 +378,10 @@ def inductive_update(
     if denom <= 0:
         raise ZeroDenominator("1 + lambda*degree <= 0 for the new point")
     out = (y_new + lam * (w @ f)) / denom
+    # a NaN or infinite weight, fitted output or yhat_new reaches the K
+    # results, so checking them costs O(K), not another pass over n
+    if not np.isfinite(out).all():
+        raise InvalidParameter("inductive update is not finite: a weight, fitted output or yhat_new is NaN or inf")
     return out[0] if squeeze and out.size == 1 else out
 
 
@@ -515,8 +519,8 @@ def run_smoothing(yhat: np.ndarray, g: SimilarityGraph, config: SmoothingConfig)
         # CG certified f by its recomputed residual, which is -r bit for bit
         meta["converged"] = True
     else:
-        r = np.max(np.abs(f - y + lam * apply_symmetrized(L, f)), axis=0)
-        meta["residual"] = float(np.max(r))
+        r = np.max(np.abs(f - y + lam * apply_symmetrized(L, f)), axis=0, initial=0.0)
+        meta["residual"] = float(np.max(r, initial=0.0))
         meta["converged"] = bool(np.all(r <= _column_bounds(y, config.tolerance)))
     if kl:
         return from_natural_params(f), meta

@@ -1,6 +1,6 @@
 """Empirical verification of the asymptotic Laplacian limits.
 
-Samples inputs from a declared density, builds the all-pairs Gaussian
+Samples inputs uniformly from the unit cube, builds the all-pairs Gaussian
 kernel graph with bandwidth sigma (normalization constant folded into the
 weights), evaluates both scaled Laplacian quadratic forms
 
@@ -15,7 +15,7 @@ which coincide for the uniform density.  Restricted to uniform-cube +
 cosine target families where the integrals are exact.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Sequence
 
 import numpy as np
@@ -27,12 +27,12 @@ TARGETS = ("cosine_product", "cosine_sum", "constant")
 DEFAULT_SIGMA_EXPONENT = 1.0 / 6.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SyntheticSpec:
-    """Synthetic data family for the convergence check."""
+    """Synthetic data family for the convergence check; compared and
+    hashed by identity."""
 
     dimension: int = 1
-    density: str = "uniform_cube"
     target_function: str = "cosine_product"
     sigma_exponent: float = DEFAULT_SIGMA_EXPONENT
     dispersion: np.ndarray = None  # defaults to identity
@@ -40,8 +40,6 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.dimension < 1:
             raise InvalidParameter(f"dimension must be >= 1, got {self.dimension}")
-        if self.density != "uniform_cube":
-            raise UnsupportedSpec(f"unsupported density {self.density!r}")
         if self.target_function not in TARGETS:
             raise UnsupportedSpec(f"unsupported target function {self.target_function!r}")
         disp = self.dispersion
@@ -81,7 +79,7 @@ def validate_sigma_rule(exponent: float, dimension: int) -> None:
 
 
 def sample_inputs(spec: SyntheticSpec, n: int, seed: int) -> np.ndarray:
-    """n i.i.d. draws from the declared density; deterministic given seed."""
+    """n i.i.d. uniform draws from the unit cube; deterministic given seed."""
     if n < 2:
         raise InvalidParameter(f"n must be >= 2, got {n}")
     rng = np.random.default_rng(seed)

@@ -13,7 +13,6 @@ from scipy.optimize import minimize
 
 from fairsmooth import (
     FairMetricSpec,
-    LipschitzConstraint,
     build_similarity_graph,
     count_violations,
     from_natural_params,
@@ -199,7 +198,7 @@ def _projection_qp_oracle(yhat, constraints):
                 f = x.reshape(n, k)
                 return bound**2 - float(np.sum((f[ci] - f[cj]) ** 2))
             return g
-        cons.append({"type": "ineq", "fun": make(c.i, c.j, c.bound)})
+        cons.append({"type": "ineq", "fun": make(*c)})
     # start from the always-feasible consensus point; SLSQP is far more
     # reliable from inside the constraint set
     x0 = np.tile(y.mean(axis=0), (n, 1)).ravel()
@@ -226,11 +225,11 @@ def test_criterion_6_projection_matches_qp_oracle():
         k = int(rng.integers(1, 3))
         y = rng.normal(size=(n, k))
         cons = [
-            LipschitzConstraint(i, j, float(rng.uniform(0.1, 1.0)))
+            (i, j, float(rng.uniform(0.1, 1.0)))
             for i in range(n)
             for j in range(i + 1, n)
             if rng.uniform() < 0.8
-        ] or [LipschitzConstraint(0, 1, 0.5)]
+        ] or [(0, 1, 0.5)]
         f = global_if_project(y, cons, tol=1e-10)
         oracle = _projection_qp_oracle(y, cons)
         worst_gap = max(worst_gap, float(np.max(np.abs(f - oracle))))

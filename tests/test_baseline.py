@@ -3,7 +3,6 @@ import pytest
 from scipy.optimize import minimize
 
 from fairsmooth import (
-    LipschitzConstraint,
     constraints_from_distances,
     count_violations,
     global_if_project,
@@ -32,7 +31,7 @@ def qp_oracle(yhat, constraints):
                 f = x.reshape(n, k)
                 return bound**2 - float(np.sum((f[ci] - f[cj]) ** 2))
             return g
-        cons.append({"type": "ineq", "fun": make(c.i, c.j, c.bound)})
+        cons.append({"type": "ineq", "fun": make(*c)})
     res = minimize(
         obj, y.ravel(), jac=jac, method="SLSQP", constraints=cons,
         options={"maxiter": 2000, "ftol": 1e-14},
@@ -69,9 +68,10 @@ class TestProjectPair:
 
 class TestConstraints:
     def test_from_distances_orders_indices(self):
+        # the table keeps the row as given; the pair is read as (min, max)
         cons = constraints_from_distances([(3, 1, 2.0)], lipschitz=0.5)
-        assert cons[0].i == 1 and cons[0].j == 3
-        assert cons[0].bound == pytest.approx(1.0)
+        assert np.array_equal(cons, [[3.0, 1.0, 1.0]])
+        assert count_violations(np.array([0.0, 0.0, 0.0, 5.0]), cons) == [(1, 3, 4.0)]
 
     def test_invalid_lipschitz(self):
         with pytest.raises(InvalidParameter):
@@ -79,7 +79,8 @@ class TestConstraints:
 
     def test_array_and_triples_agree(self):
         triples = [(3, 1, 2.0), (0, 2, 0.5)]
-        assert constraints_from_distances(np.array(triples), 0.5) == constraints_from_distances(triples, 0.5)
+        from_array = constraints_from_distances(np.array(triples), 0.5)
+        assert np.array_equal(from_array, constraints_from_distances(triples, 0.5))
 
     @pytest.mark.parametrize("lipschitz", [np.inf, np.nan, -1.0])
     def test_non_finite_lipschitz(self, lipschitz):
@@ -93,31 +94,29 @@ class TestConstraints:
             constraints_from_distances([(0, 1, 1.0), pair], lipschitz=1.0)
 
     def test_constraint_validation(self):
-        with pytest.raises(InvalidParameter):
-            LipschitzConstraint(i=2, j=1, bound=1.0)
-        with pytest.raises(InvalidParameter):
-            LipschitzConstraint(i=0, j=1, bound=-1.0)
+        # a table row is checked like a fair-distance pair
+        for bad in [(0, 1, -1.0), (0, 1, np.nan), (1, 1, 1.0), (0, 0.5, 1.0)]:
+            with pytest.raises(InvalidParameter):
+                global_if_project(np.zeros(2), [(0, 1, 1.0), bad])
+            with pytest.raises(InvalidParameter):
+                count_violations(np.zeros(2), [(0, 1, 1.0), bad])
 
 
 class TestGlobalProjection:
     def test_feasible_input_unchanged(self):
         y = np.array([0.0, 0.1, 0.2])
-        cons = [LipschitzConstraint(i, j, 1.0) for i in range(3) for j in range(i + 1, 3)]
+        cons = [(i, j, 1.0) for i in range(3) for j in range(i + 1, 3)]
         f = global_if_project(y, cons)
         assert np.allclose(f, y, atol=1e-10)
 
     def test_single_constraint_matches_project_pair(self):
         y = np.array([0.0, 1.0])
-        f = global_if_project(y, [LipschitzConstraint(0, 1, 0.5)])
+        f = global_if_project(y, [(0, 1, 0.5)])
         assert np.allclose(f, [0.25, 0.75], atol=1e-8)
 
     def test_three_point_chain_matches_qp_oracle(self):
         y = np.array([0.0, 1.0, 2.0])
-        cons = [
-            LipschitzConstraint(0, 1, 0.5),
-            LipschitzConstraint(0, 2, 0.5),
-            LipschitzConstraint(1, 2, 0.5),
-        ]
+        cons = [(0, 1, 0.5), (0, 2, 0.5), (1, 2, 0.5)]
         f = global_if_project(y, cons, tol=1e-10)
         oracle = qp_oracle(y, cons)[:, 0]
         assert np.max(np.abs(f - oracle)) < 1e-4
@@ -129,13 +128,13 @@ class TestGlobalProjection:
             k = int(rng.integers(1, 3))
             y = rng.normal(size=(n, k))
             cons = [
-                LipschitzConstraint(i, j, float(rng.uniform(0.1, 1.0)))
+                (i, j, float(rng.uniform(0.1, 1.0)))
                 for i in range(n)
                 for j in range(i + 1, n)
                 if rng.uniform() < 0.8
             ]
             if not cons:
-                cons = [LipschitzConstraint(0, 1, 0.5)]
+                cons = [(0, 1, 0.5)]
             f = global_if_project(y, cons, tol=1e-10)
             oracle = qp_oracle(y, cons)
             assert np.max(np.abs(f - oracle)) < 1e-4
@@ -145,7 +144,7 @@ class TestGlobalProjection:
         rng = np.random.default_rng(42)
         y = rng.normal(size=4)
         cons = [
-            LipschitzConstraint(i, j, 0.3)
+            (i, j, 0.3)
             for i in range(4)
             for j in range(i + 1, 4)
         ]
@@ -159,7 +158,7 @@ class TestGlobalProjection:
         rng = np.random.default_rng(43)
         y = rng.normal(size=5)
         cons = [
-            LipschitzConstraint(i, j, 0.2)
+            (i, j, 0.2)
             for i in range(5)
             for j in range(i + 1, 5)
         ]
@@ -169,34 +168,34 @@ class TestGlobalProjection:
 
     def test_out_of_range_constraint(self):
         with pytest.raises(IndexOutOfRange):
-            global_if_project(np.zeros(2), [LipschitzConstraint(0, 5, 1.0)])
+            global_if_project(np.zeros(2), [(0, 5, 1.0)])
 
     @pytest.mark.parametrize(
         "options", [{"tol": np.nan}, {"tol": np.inf}, {"tol": 0.0}, {"max_iter": 0}]
     )
     def test_loop_parameters_rejected(self, options):
         with pytest.raises(InvalidParameter):
-            global_if_project(np.array([0.0, 10.0]), [LipschitzConstraint(0, 1, 0.1)], **options)
+            global_if_project(np.array([0.0, 10.0]), [(0, 1, 0.1)], **options)
 
     def test_non_finite_outputs_rejected(self):
         with pytest.raises(InvalidParameter):
-            global_if_project(np.array([0.0, np.nan]), [LipschitzConstraint(0, 1, 0.1)])
+            global_if_project(np.array([0.0, np.nan]), [(0, 1, 0.1)])
 
     def test_not_converged_reports_violation(self):
         y = np.array([0.0, 10.0])
         with pytest.raises(NotConverged, match="violation"):
-            global_if_project(y, [LipschitzConstraint(0, 1, 0.1)], max_iter=1)
+            global_if_project(y, [(0, 1, 0.1)], max_iter=1)
 
 
 class TestCountViolations:
     def test_projected_output_clean(self):
         y = np.array([0.0, 1.0, 2.0])
-        cons = [LipschitzConstraint(0, 1, 0.5), LipschitzConstraint(1, 2, 0.5)]
+        cons = [(0, 1, 0.5), (1, 2, 0.5)]
         f = global_if_project(y, cons)
         assert count_violations(f, cons, slack=1e-6) == []
 
     def test_single_violation_excess(self):
-        out = count_violations(np.array([0.0, 1.0]), [LipschitzConstraint(0, 1, 0.5)])
+        out = count_violations(np.array([0.0, 1.0]), [(0, 1, 0.5)])
         assert len(out) == 1
         i, j, excess = out[0]
         assert (i, j) == (0, 1)
@@ -204,7 +203,7 @@ class TestCountViolations:
 
     def test_infinite_slack(self):
         out = count_violations(
-            np.array([0.0, 100.0]), [LipschitzConstraint(0, 1, 0.5)], slack=np.inf
+            np.array([0.0, 100.0]), [(0, 1, 0.5)], slack=np.inf
         )
         assert out == []
 
@@ -212,16 +211,16 @@ class TestCountViolations:
         rng = np.random.default_rng(44)
         f = rng.normal(size=(8, 3))
         cons = [
-            LipschitzConstraint(i, j, float(rng.uniform(0.0, 2.0)))
+            (i, j, float(rng.uniform(0.0, 2.0)))
             for i in range(8)
             for j in range(i + 1, 8)
         ]
         rng.shuffle(cons)
         expected = []
-        for c in cons:
-            excess = float(np.linalg.norm(f[c.i] - f[c.j])) - c.bound
+        for i, j, bound in cons:
+            excess = float(np.linalg.norm(f[i] - f[j])) - bound
             if excess > 0.1:
-                expected.append((c.i, c.j, excess))
+                expected.append((i, j, excess))
         out = count_violations(f, cons, slack=0.1)
         assert [(i, j) for i, j, _ in out] == [(i, j) for i, j, _ in expected]
         assert np.allclose([e for _, _, e in out], [e for _, _, e in expected], rtol=1e-15, atol=0)
@@ -229,4 +228,4 @@ class TestCountViolations:
 
     def test_out_of_range_constraint(self):
         with pytest.raises(IndexOutOfRange):
-            count_violations(np.zeros(2), [LipschitzConstraint(0, 5, 1.0)])
+            count_violations(np.zeros(2), [(0, 5, 1.0)])

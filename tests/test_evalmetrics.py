@@ -18,7 +18,7 @@ from fairsmooth.errors import (
     InvalidParameter,
     NoLabels,
 )
-from fairsmooth.evalmetrics import EvaluationReport, predicted_classes
+from fairsmooth.evalmetrics import predicted_classes
 
 
 class TestPredictedClasses:
@@ -230,12 +230,3 @@ class TestViolationHistogram:
                 np.array([0.0, 1.0]), [(0, 1, 1.0)], lipschitz=1.0, num_bins=0
             )
 
-
-class TestEvaluationReport:
-    def test_to_dict_drops_missing_fields(self):
-        rep = EvaluationReport(prediction_consistency=0.75)
-        assert rep.to_dict() == {"prediction_consistency": 0.75}
-
-    def test_to_dict_serializes_histogram(self):
-        rep = EvaluationReport(violation_histogram=[(0.0, 1.0, 3, 1)])
-        assert rep.to_dict() == {"violation_histogram": [[0.0, 1.0, 3, 1]]}

@@ -5,9 +5,14 @@ import pytest
 
 from fairsmooth import (
     FairMetricSpec,
+    GroupedPredictions,
+    SimilarityGraph,
+    SyntheticSpec,
     fair_distance,
+    graph_from_annotations,
     metric_spec_from_json,
     pairwise_fair_distances,
+    unnormalized_laplacian,
 )
 from fairsmooth import metric as metric_mod
 from fairsmooth.metric import PAIR_CHUNK, check_pairs, pair_fair_distances
@@ -371,3 +376,21 @@ class TestCheckPairs:
         check_pairs([pair])  # no n, no range check
         with pytest.raises(IndexOutOfRange, match="out of range for n=3"):
             check_pairs([pair], 3)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: FairMetricSpec("mahalanobis", sigma=np.eye(2)),
+        lambda: SimilarityGraph(3, np.array([0, 1]), np.array([1, 2]), np.array([1.0, 1.0])),
+        lambda: SyntheticSpec(),
+        lambda: GroupedPredictions(np.zeros(2), np.array([0, 1]), np.array([True, True])),
+        lambda: unnormalized_laplacian(graph_from_annotations([(0, 1), (1, 2)], n=3)),
+    ],
+    ids=["spec", "graph", "synthetic_spec", "grouped_predictions", "laplacian"],
+)
+def test_array_holding_records_compare_and_hash_by_identity(build):
+    # a generated __eq__ compares the arrays inside a tuple, and raises
+    a, b = build(), build()
+    assert a == a and a != b
+    assert len({a, a, b}) == 2

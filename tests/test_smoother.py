@@ -6,6 +6,7 @@ from scipy import sparse
 
 from fairsmooth import (
     FairMetricSpec,
+    SimilarityGraph,
     SmoothingConfig,
     build_similarity_graph,
     from_natural_params,
@@ -14,6 +15,7 @@ from fairsmooth import (
     kl_coordinate_update,
     run_smoothing,
     smooth_closed_form,
+    smooth_conjugate_gradient,
     smooth_coordinate_descent,
     smooth_kl,
     to_natural_params,
@@ -303,6 +305,16 @@ class TestInductive:
             assert np.array_equal(got, dense)
         scalar = inductive_update(f[:, 0], sparse.csr_matrix(w[None, :]), 0.2, lam=0.7)
         assert scalar == inductive_update(f[:, 0], w, 0.2, lam=0.7)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["weight", "fitted", "yhat_new"])
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    def test_non_finite_input_rejected(self, bad, where, lam):
+        # the bad entry sits where a zero weight would hide it from a sum
+        f, w, y_new = np.ones((3, 2)), np.array([1.0, 0.0, 1.0]), np.zeros(2)
+        {"weight": w, "fitted": f[1], "yhat_new": y_new}[where][1] = bad
+        with pytest.raises(InvalidParameter, match="not finite"):
+            inductive_update(f, w, y_new, lam=lam)
 
 
 class TestNaturalParams:
@@ -603,3 +615,30 @@ class TestRunSmoothingShapes:
         p = rng.dirichlet(np.ones(3), size=12)
         out, _ = run_smoothing(p, g, SmoothingConfig(lam=0.7, discrepancy="kl"))
         assert out.shape == (12, 3)
+
+    @pytest.mark.parametrize("kind", [UNNORMALIZED, NORMALIZED_RW])
+    @pytest.mark.parametrize("options", [{}, {"dense_limit": 0}, {"mode": "coordinate_descent"}])
+    def test_no_output_columns(self, kind, options):
+        _, g = self.instance()
+        f, meta = run_smoothing(np.zeros((12, 0)), g, SmoothingConfig(laplacian_kind=kind, **options))
+        assert f.shape == (12, 0)
+        assert meta["converged"] is True
+
+    @pytest.mark.parametrize("kind", [UNNORMALIZED, NORMALIZED_RW])
+    @pytest.mark.parametrize("shape", [(0,), (0, 1), (0, 2)])
+    @pytest.mark.parametrize("mode", ["closed_form", "coordinate_descent"])
+    def test_empty_graph(self, kind, shape, mode):
+        g = SimilarityGraph(0, np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))
+        config = SmoothingConfig(laplacian_kind=kind, mode=mode, nrw_lambda_scaling=False)
+        f, meta = run_smoothing(np.zeros(shape), g, config)
+        assert f.shape == shape
+        assert (meta["residual"], meta["converged"]) == (0.0, True)
+        if kind == UNNORMALIZED:
+            L = make_laplacian(g, UNNORMALIZED)
+            f, meta = smooth_conjugate_gradient(np.zeros(shape), L, 1.0, 1e-9, return_info=True)
+            assert f.shape == shape
+            assert meta == {"iterations": 0, "residual": 0.0}
+        else:
+            # lambda scaled by the average degree, which an empty graph does not have
+            with pytest.raises(InvalidParameter, match="no nodes"):
+                run_smoothing(np.zeros(shape), g, replace(config, nrw_lambda_scaling=True))

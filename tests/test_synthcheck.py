@@ -33,10 +33,6 @@ class TestSyntheticSpec:
         with pytest.raises(UnsupportedSpec):
             SyntheticSpec(target_function="sine")
 
-    def test_unknown_density_rejected(self):
-        with pytest.raises(UnsupportedSpec):
-            SyntheticSpec(density="gaussian")
-
 
 class TestSigmaRule:
     def test_default_exponent_valid_low_dim(self):
