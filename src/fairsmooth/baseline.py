@@ -19,7 +19,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .errors import InvalidParameter, NotConverged
-from .metric import check_pairs
+from .metric import check_outputs, check_pairs, restore_shape
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 10_000
@@ -72,22 +72,19 @@ def global_if_project(
     (min(i, j), max(i, j)) pair, the rows of one pair in row order,
     carrying one correction per row.  Terminates when every constraint holds
     within tol and the iterate moved less than tol over a full sweep.
+    ``yhat`` is read by :func:`check_outputs`; the result has its shape.
     """
     if not 0 < tol < np.inf:
         raise InvalidParameter(f"tol must be positive and finite, got {tol}")
     if max_iter < 1:
         raise InvalidParameter(f"max_iter must be >= 1, got {max_iter}")
-    y = np.asarray(yhat, dtype=float)
-    if not np.all(np.isfinite(y)):
-        raise InvalidParameter("yhat has non-finite entries")
-    squeeze = y.ndim == 1
-    f = y[:, None].copy() if squeeze else y.copy()
+    f = check_outputs(yhat).copy()
     n, K = f.shape
     ii, jj, bounds = _constraint_table(constraints, n)
     order = np.lexsort((jj, ii))
     ii, jj, bounds = ii[order], jj[order], bounds[order]
     if not ii.size:
-        return f[:, 0] if squeeze else f
+        return restore_shape(f, yhat)
 
     cons = list(zip(ii.tolist(), jj.tolist(), bounds.tolist()))
     corrections = np.zeros((len(cons), 2, K))
@@ -108,7 +105,7 @@ def global_if_project(
             f[j] = pj
         worst = _excess(f, ii, jj, bounds).max(initial=0.0)
         if worst <= tol and moved < tol:
-            return f[:, 0] if squeeze else f
+            return restore_shape(f, yhat)
     raise NotConverged(f"Dykstra did not converge in {max_iter} sweeps; worst violation {worst:.3e}")
 
 
@@ -124,9 +121,7 @@ def count_violations(
 ) -> List[Tuple[int, int, float]]:
     """(min(i, j), max(i, j), excess) of the rows of ``constraints`` whose
     pair violates its bound by more than ``slack``, in row order."""
-    arr = np.asarray(f, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[:, None]
+    arr = check_outputs(f)
     ii, jj, bounds = _constraint_table(constraints, arr.shape[0])
     excess = _excess(arr, ii, jj, bounds)
     hit = excess > slack

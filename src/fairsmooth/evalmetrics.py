@@ -5,10 +5,11 @@ one original input plus its perturbed variants, and a group counts as
 consistent when every member receives the same predicted class as the
 original.  The violation histogram bins constrained pairs by fair distance
 and reports, per bin, how many pairs exceed their Lipschitz bound.
+Every function reads model outputs through :func:`check_outputs`.
 """
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -16,18 +17,36 @@ from .errors import (
     EmptyGroup,
     EmptyPairs,
     EmptySubset,
+    IndexOutOfRange,
     InvalidParameter,
     NoLabels,
 )
-from .metric import check_pairs
+from .metric import check_outputs, check_pairs
 
 DEFAULT_THRESHOLD = 0.5
+
+
+def _integers(values, what: str, n: Optional[int] = None) -> np.ndarray:
+    """``values`` as int64, or InvalidParameter naming the first that is not
+    an integer; with ``n``, IndexOutOfRange for the first outside 0..n-1."""
+    v = np.asarray(values, dtype=float)
+    with np.errstate(invalid="ignore"):  # NaN and huge values cast to garbage, caught below
+        ints = v.astype(np.int64)
+    bad = ints != v
+    if bad.any():
+        raise InvalidParameter(f"{what} {v[bad][0]:g} is not an integer")
+    if n is not None:
+        outside = (ints < 0) | (ints >= n)
+        if outside.any():
+            raise IndexOutOfRange(f"{what} {ints[outside][0]} is outside 0..{n - 1}")
+    return ints
 
 
 @dataclass(frozen=True, eq=False)
 class GroupedPredictions:
     """Model outputs with an alteration-group structure.
 
+    ``outputs`` is stored as the table :func:`check_outputs` returns.
     ``group_of[i]`` names the group of row i; ``is_original[i]`` marks the
     one canonical member per group.  Compared and hashed by identity.
     """
@@ -37,9 +56,7 @@ class GroupedPredictions:
     is_original: np.ndarray
 
     def __post_init__(self):
-        outputs = np.asarray(self.outputs, dtype=float)
-        if outputs.ndim == 1:
-            outputs = outputs[:, None]
+        outputs = check_outputs(self.outputs)
         group_of = np.asarray(self.group_of)
         is_original = np.asarray(self.is_original, dtype=bool)
         if not (len(group_of) == len(is_original) == outputs.shape[0]):
@@ -57,10 +74,10 @@ class GroupedPredictions:
 
 def predicted_classes(outputs: np.ndarray, threshold: float = DEFAULT_THRESHOLD) -> np.ndarray:
     """Predicted class per row: argmax for K >= 2 (ties to the lowest class
-    index), threshold on the single column for K = 1."""
-    arr = np.asarray(outputs, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[:, None]
+    index), a finite threshold on the single column for K = 1."""
+    if not np.isfinite(threshold):
+        raise InvalidParameter(f"threshold must be finite, got {threshold}")
+    arr = check_outputs(outputs)
     if arr.shape[1] == 1:
         return (arr[:, 0] >= threshold).astype(int)
     return np.argmax(arr, axis=1)
@@ -80,12 +97,11 @@ def prediction_consistency(
 
 def output_std(outputs: np.ndarray, subset: Sequence[int], column: int = 0) -> float:
     """Population standard deviation of one output column over a subset."""
-    idx = np.asarray(subset, dtype=int)
+    arr = check_outputs(outputs)
+    idx = _integers(subset, "subset index", arr.shape[0])
     if idx.size == 0:
         raise EmptySubset("subset is empty")
-    arr = np.asarray(outputs, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[:, None]
+    column = _integers(column, "column", arr.shape[1])
     return float(np.std(arr[idx, column]))
 
 
@@ -96,20 +112,19 @@ def group_gap(
     column: int = 0,
 ) -> float:
     """mean(column over A) - mean(column over B)."""
-    a = np.asarray(group_a, dtype=int)
-    b = np.asarray(group_b, dtype=int)
+    arr = check_outputs(outputs)
+    a = _integers(group_a, "group index", arr.shape[0])
+    b = _integers(group_b, "group index", arr.shape[0])
     if a.size == 0 or b.size == 0:
         raise EmptySubset("both groups must be nonempty")
-    arr = np.asarray(outputs, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[:, None]
+    column = _integers(column, "column", arr.shape[1])
     return float(np.mean(arr[a, column]) - np.mean(arr[b, column]))
 
 
 def accuracy(
     outputs: np.ndarray, labels: Sequence[int], threshold: float = DEFAULT_THRESHOLD
 ) -> float:
-    labels = np.asarray(labels, dtype=int)
+    labels = _integers(labels, "label")
     if labels.size == 0:
         raise NoLabels("labels are empty")
     preds = predicted_classes(outputs, threshold)
@@ -122,7 +137,7 @@ def balanced_accuracy(
     outputs: np.ndarray, labels: Sequence[int], threshold: float = DEFAULT_THRESHOLD
 ) -> float:
     """Unweighted mean of per-class recalls over classes with support."""
-    labels = np.asarray(labels, dtype=int)
+    labels = _integers(labels, "label")
     if labels.size == 0:
         raise NoLabels("labels are empty")
     preds = predicted_classes(outputs, threshold)
@@ -148,13 +163,12 @@ def violation_histogram(
     are equal-width over [0, max distance], right-open except the last.  A
     pair violates when ||f_i - f_j||_2 > lipschitz * d.
     """
-    if not lipschitz > 0:
-        raise InvalidParameter(f"lipschitz constant must be positive, got {lipschitz}")
+    if not 0 < lipschitz < np.inf:
+        raise InvalidParameter(f"lipschitz constant must be positive and finite, got {lipschitz}")
+    num_bins = int(_integers(num_bins, "num_bins"))
     if num_bins < 1:
         raise InvalidParameter(f"num_bins must be >= 1, got {num_bins}")
-    arr = np.asarray(f, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[:, None]
+    arr = check_outputs(f)
     ii, jj, d = check_pairs(distances, arr.shape[0])
     if d.size == 0:
         raise EmptyPairs("no distance pairs supplied")

@@ -155,6 +155,32 @@ def check_points(spec: FairMetricSpec, X: np.ndarray) -> np.ndarray:
     return X
 
 
+def check_outputs(outputs, n: Optional[int] = None) -> np.ndarray:
+    """Model outputs as the (n, K) float table every stage reads.
+
+    Row i holds the K outputs of point i; a 1-D array is one column, and
+    :func:`restore_shape` turns a result back into a vector.  An array
+    that is neither 1-D nor 2-D, or that does not have ``n`` rows when
+    ``n`` is given, raises DimensionMismatch.  A NaN or infinite entry
+    raises InvalidParameter naming the first row that holds one.
+    """
+    y = np.asarray(outputs, dtype=float)
+    if y.ndim == 1:
+        y = y[:, None]
+    if y.ndim != 2 or (n is not None and y.shape[0] != n):
+        rows = "" if n is None else f" with {n} rows"
+        raise DimensionMismatch(f"outputs have shape {np.shape(outputs)}, expected a vector or an (n, K) array{rows}")
+    if not np.isfinite(y).all():
+        bad = np.flatnonzero(~np.isfinite(y).all(axis=1))[0]
+        raise InvalidParameter(f"outputs row {bad} has a non-finite entry")
+    return y
+
+
+def restore_shape(result: np.ndarray, outputs) -> np.ndarray:
+    """An (n, K) ``result`` as a vector when ``outputs`` was one."""
+    return result[:, 0] if np.ndim(outputs) == 1 else result
+
+
 def check_pairs(pairs, n: Optional[int] = None):
     """Fair-distance pairs as int64 ``i``, ``j`` and float ``d`` arrays.
 

@@ -47,6 +47,7 @@ from .laplacian import (
     make_laplacian,
     quadratic_form,
 )
+from .metric import check_outputs, restore_shape
 
 # probabilities are clamped to this floor before taking logs; the KL
 # objective is undefined at the simplex boundary
@@ -124,22 +125,10 @@ class SmoothingConfig:
             raise InvalidParameter("dense_limit must be >= 0")
 
 
-def _as_outputs(yhat: np.ndarray, n: int) -> np.ndarray:
-    y = np.asarray(yhat, dtype=float)
-    squeeze = y.ndim == 1
-    if squeeze:
-        y = y[:, None]
-    if y.ndim != 2 or y.shape[0] != n:
-        raise DimensionMismatch(f"outputs have shape {np.shape(yhat)}, expected {n} rows")
-    if not np.all(np.isfinite(y)):
-        raise InvalidParameter("outputs contain non-finite entries")
-    return y
-
-
 def objective(yhat: np.ndarray, L: LaplacianOperator, lam: float, f: np.ndarray) -> float:
     """The smoothing objective g(f) = ||f - yhat||_F^2 + lambda tr(f^T L f)."""
-    y = _as_outputs(yhat, L.n)
-    fv = _as_outputs(f, L.n)
+    y = check_outputs(yhat, L.n)
+    fv = check_outputs(f, L.n)
     return float(np.sum((fv - y) ** 2) + lam * quadratic_form(L, fv))
 
 
@@ -151,18 +140,15 @@ def smooth_closed_form(yhat: np.ndarray, L: LaplacianOperator, lam: float) -> np
     for the symmetrized random-walk kind on pathological graphs).
     """
     _check_lambda(lam)
-    y = _as_outputs(yhat, L.n)
-    squeeze = np.asarray(yhat).ndim == 1
+    y = check_outputs(yhat, L.n)
     if lam == 0.0:
-        out = y.copy()
-        return out[:, 0] if squeeze else out
+        return restore_shape(y.copy(), yhat)
     A = np.eye(L.n) + lam * L.symmetrized().toarray()
     try:
         factor = sla.cho_factor(A, lower=True, check_finite=False)
     except sla.LinAlgError as exc:
         raise NotPositiveDefinite(f"I + lambda*sym(L) is not positive definite: {exc}")
-    out = sla.cho_solve(factor, y, check_finite=False)
-    return out[:, 0] if squeeze else out
+    return restore_shape(sla.cho_solve(factor, y, check_finite=False), yhat)
 
 
 def _cg_iteration_bound(L: LaplacianOperator, lam: float, tolerance: float) -> int:
@@ -214,14 +200,13 @@ def smooth_conjugate_gradient(
     _check_lambda(lam)
     if not tolerance > 0:
         raise InvalidParameter("tolerance must be positive")
-    y = _as_outputs(yhat, L.n)
-    squeeze = np.asarray(yhat).ndim == 1
+    y = check_outputs(yhat, L.n)
     if lam == 0.0:
         f, iterations, residual = y.copy(), 0, 0.0
     else:
         cap = CG_ITERATION_CAP * _cg_iteration_bound(L, lam, tolerance)
         f, iterations, residual = _pcg(y, L.matrix, L.diagonal, lam, _column_bounds(y, tolerance), cap)
-    out = f[:, 0] if squeeze else f
+    out = restore_shape(f, yhat)
     if return_info:
         return out, {"iterations": iterations, "residual": residual}
     return out
@@ -334,13 +319,12 @@ def smooth_coordinate_descent(
     epoch, updated in place (Gauss-Seidel), and the sweep stops early once
     the largest coordinate change falls below the tolerance.
     """
-    y = _as_outputs(yhat, L.n)
-    squeeze = np.asarray(yhat).ndim == 1
+    y = check_outputs(yhat, L.n)
     S = L.symmetrized()
     f, epochs_used, last_change = _cd_sweeps(
         y, S, config.lam, config.epochs, config.seed, config.tolerance
     )
-    out = f[:, 0] if squeeze else f
+    out = restore_shape(f, yhat)
     if return_info:
         return out, {"epochs_used": epochs_used, "last_max_change": float(last_change)}
     return out
@@ -365,6 +349,8 @@ def inductive_update(
     else:
         w = np.asarray(new_weights, dtype=float)
     f = np.asarray(f_fixed, dtype=float)
+    if f.ndim not in (1, 2):
+        raise DimensionMismatch(f"fitted outputs have shape {f.shape}, expected a vector or an (n, K) array")
     squeeze = f.ndim == 1
     if squeeze:
         f = f[:, None]
@@ -373,13 +359,14 @@ def inductive_update(
             f"{w.shape[0]} weights for {f.shape[0]} fixed outputs"
         )
     y_new = np.atleast_1d(np.asarray(yhat_new, dtype=float))
-    deg = float(w.sum())
-    denom = 1.0 + lam * deg
-    if denom <= 0:
-        raise ZeroDenominator("1 + lambda*degree <= 0 for the new point")
-    out = (y_new + lam * (w @ f)) / denom
     # a NaN or infinite weight, fitted output or yhat_new reaches the K
-    # results, so checking them costs O(K), not another pass over n
+    # results, so checking them costs O(K), not another pass over n; the
+    # check stands in for NumPy's warnings
+    with np.errstate(all="ignore"):
+        denom = 1.0 + lam * float(w.sum())
+        if denom <= 0:
+            raise ZeroDenominator("1 + lambda*degree <= 0 for the new point")
+        out = (y_new + lam * (w @ f)) / denom
     if not np.isfinite(out).all():
         raise InvalidParameter("inductive update is not finite: a weight, fitted output or yhat_new is NaN or inf")
     return out[0] if squeeze and out.size == 1 else out
@@ -513,7 +500,7 @@ def run_smoothing(yhat: np.ndarray, g: SimilarityGraph, config: SmoothingConfig)
         "fallback_to_cd": False,
     }
     kl = config.discrepancy == "kl"
-    y = to_natural_params(np.atleast_2d(yhat)) if kl else _as_outputs(yhat, L.n)
+    y = to_natural_params(np.atleast_2d(yhat)) if kl else check_outputs(yhat, L.n)
     f, meta = _solve(y, L, replace(config, lam=lam, nrw_lambda_scaling=False), meta)
     if meta["solver"] == "cg":
         # CG certified f by its recomputed residual, which is -r bit for bit
@@ -524,7 +511,7 @@ def run_smoothing(yhat: np.ndarray, g: SimilarityGraph, config: SmoothingConfig)
         meta["converged"] = bool(np.all(r <= _column_bounds(y, config.tolerance)))
     if kl:
         return from_natural_params(f), meta
-    return (f[:, 0] if np.ndim(yhat) == 1 else f), meta
+    return restore_shape(f, yhat), meta
 
 
 def _solver_for(y, L, config):

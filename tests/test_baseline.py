@@ -177,10 +177,6 @@ class TestGlobalProjection:
         with pytest.raises(InvalidParameter):
             global_if_project(np.array([0.0, 10.0]), [(0, 1, 0.1)], **options)
 
-    def test_non_finite_outputs_rejected(self):
-        with pytest.raises(InvalidParameter):
-            global_if_project(np.array([0.0, np.nan]), [(0, 1, 0.1)])
-
     def test_not_converged_reports_violation(self):
         y = np.array([0.0, 10.0])
         with pytest.raises(NotConverged, match="violation"):

@@ -148,6 +148,42 @@ class TestScalarMetrics:
         assert balanced_accuracy(out, [0, 0]) == pytest.approx(0.5)
 
 
+class TestArgumentChecks:
+    """Indices, columns and labels are integers in range, thresholds finite;
+    each case below used to give a number or a bare NumPy error."""
+
+    Y = np.array([[0.1, 0.5], [0.4, 0.2], [0.8, 0.9]])
+
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda y: output_std(y, [-1]), IndexOutOfRange, "subset index -1 is outside 0..2"),
+            (lambda y: output_std(y, [4]), IndexOutOfRange, "subset index 4 is outside 0..2"),
+            (lambda y: output_std(y, [1.7, 2.2]), InvalidParameter, "subset index 1.7 is not an integer"),
+            (lambda y: output_std(y, [0, 1], column=-1), IndexOutOfRange, "column -1 is outside 0..1"),
+            (lambda y: output_std(y, [0, 1], column=0.5), InvalidParameter, "column 0.5 is not an integer"),
+            (lambda y: group_gap(y, [0], [3]), IndexOutOfRange, "group index 3 is outside 0..2"),
+            (lambda y: group_gap(y, [0.5], [1]), InvalidParameter, "group index 0.5 is not an integer"),
+            (lambda y: group_gap(y, [0], [1], column=2), IndexOutOfRange, "column 2 is outside 0..1"),
+            (lambda y: accuracy(y, [0, 1, np.nan]), InvalidParameter, "label nan is not an integer"),
+            # 0.7 was truncated to class 0, which made this a perfect score
+            (lambda y: balanced_accuracy(np.array([0.9, 0.1]), [1.0, 0.7]), InvalidParameter,
+             "label 0.7 is not an integer"),
+            (lambda y: accuracy(y[:, :1], [0, 1, 1], threshold=np.nan), InvalidParameter, "threshold must be finite"),
+            (lambda y: prediction_consistency(
+                GroupedPredictions(y, [0, 1, 2], [True] * 3), threshold=np.inf
+            ), InvalidParameter, "threshold must be finite"),
+        ],
+    )
+    def test_rejected(self, call, error, message):
+        with pytest.raises(error, match=f"^{message}"):
+            call(self.Y)
+
+    def test_integral_floats_accepted(self):
+        assert output_std(self.Y, [0.0, 2.0], column=1.0) == output_std(self.Y, [0, 2], column=1)
+        assert balanced_accuracy(self.Y, [1.0, 0.0, 1.0]) == balanced_accuracy(self.Y, [1, 0, 1])
+
+
 class TestViolationHistogram:
     def test_constant_outputs_no_violations(self):
         f = np.full(3, 1.0)
@@ -223,10 +259,14 @@ class TestViolationHistogram:
             violation_histogram(np.array([0.0, 1.0]), [(0, 1, 1.0), pair], lipschitz=1.0)
 
     def test_invalid_parameters(self):
-        with pytest.raises(InvalidParameter):
-            violation_histogram(np.array([0.0, 1.0]), [(0, 1, 1.0)], lipschitz=0.0)
-        with pytest.raises(InvalidParameter):
-            violation_histogram(
-                np.array([0.0, 1.0]), [(0, 1, 1.0)], lipschitz=1.0, num_bins=0
-            )
+        # an infinite bound made a zero-distance pair's bound NaN, never violated
+        for lipschitz in (0.0, np.inf):
+            with pytest.raises(InvalidParameter):
+                violation_histogram(np.array([0.0, 1.0]), [(0, 1, 0.0)], lipschitz=lipschitz)
+        # a fractional bin count ended in a bare TypeError
+        for num_bins in (0, 2.5):
+            with pytest.raises(InvalidParameter):
+                violation_histogram(
+                    np.array([0.0, 1.0]), [(0, 1, 1.0)], lipschitz=1.0, num_bins=num_bins
+                )
 

@@ -21,6 +21,7 @@ from fairsmooth import (
     to_natural_params,
 )
 from fairsmooth.errors import (
+    DimensionMismatch,
     InvalidParameter,
     InvalidSimplexRow,
     NotPositiveDefinite,
@@ -315,6 +316,16 @@ class TestInductive:
         {"weight": w, "fitted": f[1], "yhat_new": y_new}[where][1] = bad
         with pytest.raises(InvalidParameter, match="not finite"):
             inductive_update(f, w, y_new, lam=lam)
+
+
+    def test_opposite_infinite_weights_rejected(self):
+        # their sum is NaN, which NumPy warned about before the result check
+        with pytest.raises(InvalidParameter, match="not finite"):
+            inductive_update(np.ones((3, 2)), np.array([np.inf, -np.inf, 1.0]), np.zeros(2), lam=1.0)
+
+    def test_fitted_outputs_neither_vector_nor_table(self):
+        with pytest.raises(DimensionMismatch, match=r"shape \(3, 2, 1\)"):
+            inductive_update(np.ones((3, 2, 1)), np.ones(3), np.zeros(2), lam=1.0)
 
 
 class TestNaturalParams:
