@@ -42,8 +42,7 @@ L = unnormalized_laplacian(g)
 f_exact = smooth_closed_form(yhat, L, lam=1.0)
 
 # Same problem via Gauss-Seidel coordinate descent.
-config = SmoothingConfig(lam=1.0, epochs=500, tolerance=1e-10, seed=0)
-f_cd, info = smooth_coordinate_descent(yhat, L, config, return_info=True)
+f_cd, info = smooth_coordinate_descent(yhat, L, 1.0, epochs=500, seed=0, tolerance=1e-10, return_info=True)
 print(f"coordinate descent: {info['epochs_used']} epochs, "
       f"last max change {info['last_max_change']:.1e}")
 print(f"solver agreement (max norm): {np.max(np.abs(f_exact - f_cd)):.2e}")

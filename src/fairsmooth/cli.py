@@ -122,18 +122,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_float_list(text: str):
+def _parse_list(text: str, kind):
+    """Comma-separated values of ``kind``; empty items are skipped."""
     try:
-        return [float(v) for v in text.split(",") if v.strip()]
+        return [kind(v) for v in text.split(",") if v.strip()]
     except ValueError:
-        raise ParseError(f"could not parse number list {text!r}")
-
-
-def _parse_int_list(text: str):
-    try:
-        return [int(v) for v in text.split(",") if v.strip()]
-    except ValueError:
-        raise ParseError(f"could not parse integer list {text!r}")
+        raise ParseError(f"could not parse {kind.__name__} list {text!r}")
 
 
 def cmd_graph_build(args) -> None:
@@ -178,14 +172,14 @@ def cmd_smooth(args) -> None:
 def cmd_inductive(args) -> None:
     fitted = io.read_matrix_csv(args.fitted)
     weights = np.zeros(fitted.shape[0])
-    idx, w = _read_weight_rows(args.weights)
+    (idx, w), _ = io.read_table(args.weights, (np.int64, float), delimiter="\t", comments=True)
     io.check_row_indices(args.weights, idx, weights.size, comments=True)
     bad = np.flatnonzero(~((w >= 0) & (w < np.inf)))
     if bad.size:
         line = io.line_of_row(args.weights, int(bad[0]), comments=True)
         raise InvalidParameter(f"{args.weights}:{line}: weight must be finite and >= 0, got {w[bad[0]]}")
     weights[idx] = w
-    y_new = np.array(_parse_float_list(args.yhat_new))
+    y_new = np.array(_parse_list(args.yhat_new, float))
     if not np.all(np.isfinite(y_new)):
         raise InvalidParameter(f"--yhat-new must be finite, got {args.yhat_new!r}")
     out = smoother.inductive_update(fitted, weights, y_new, args.lam)
@@ -194,12 +188,6 @@ def cmd_inductive(args) -> None:
         io.write_matrix_csv(args.out, out[None, :])
     else:
         print(",".join(io.format_float(v) for v in out))
-
-
-def _read_weight_rows(path):
-    """Read 'index<TAB>weight' rows as an index array and a weight array."""
-    (idx, w), _ = io.read_table(path, (np.int64, float), delimiter="\t", comments=True)
-    return idx, w
 
 
 def cmd_baseline(args) -> None:
@@ -239,8 +227,8 @@ def cmd_check_limits(args) -> None:
         target_function=args.function,
         sigma_exponent=args.sigma_exponent,
     )
-    n_grid = _parse_int_list(args.n_grid)
-    seeds = _parse_int_list(args.seeds)
+    n_grid = _parse_list(args.n_grid, int)
+    seeds = _parse_list(args.seeds, int)
     rows = synthcheck.convergence_report(spec, n_grid, seeds)
     names = ["kind", "n", "sigma", "empirical_mean", "empirical_std", "analytic", "relative_error"]
     columns = [np.array([r[name] for r in rows]) for name in names]

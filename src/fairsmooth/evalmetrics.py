@@ -121,15 +121,21 @@ def group_gap(
     return float(np.mean(arr[a, column]) - np.mean(arr[b, column]))
 
 
-def accuracy(
-    outputs: np.ndarray, labels: Sequence[int], threshold: float = DEFAULT_THRESHOLD
-) -> float:
+def _labelled_predictions(outputs, labels, threshold):
+    """(predicted classes, integer labels) of one labelled outputs table."""
     labels = _integers(labels, "label")
     if labels.size == 0:
         raise NoLabels("labels are empty")
     preds = predicted_classes(outputs, threshold)
     if preds.shape[0] != labels.shape[0]:
         raise InvalidParameter("labels and outputs have different lengths")
+    return preds, labels
+
+
+def accuracy(
+    outputs: np.ndarray, labels: Sequence[int], threshold: float = DEFAULT_THRESHOLD
+) -> float:
+    preds, labels = _labelled_predictions(outputs, labels, threshold)
     return float(np.mean(preds == labels))
 
 
@@ -137,12 +143,7 @@ def balanced_accuracy(
     outputs: np.ndarray, labels: Sequence[int], threshold: float = DEFAULT_THRESHOLD
 ) -> float:
     """Unweighted mean of per-class recalls over classes with support."""
-    labels = _integers(labels, "label")
-    if labels.size == 0:
-        raise NoLabels("labels are empty")
-    preds = predicted_classes(outputs, threshold)
-    if preds.shape[0] != labels.shape[0]:
-        raise InvalidParameter("labels and outputs have different lengths")
+    preds, labels = _labelled_predictions(outputs, labels, threshold)
     recalls = []
     for cls in np.unique(labels):
         mask = labels == cls

@@ -23,7 +23,7 @@ mode.
 
 import math
 import numbers
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy import linalg as sla
@@ -77,6 +77,16 @@ def _check_lambda(lam) -> None:
         raise InvalidParameter(f"lambda must be finite and >= 0, got {lam}")
 
 
+def _check_epochs(epochs) -> None:
+    if not epochs >= 1:
+        raise InvalidParameter("epochs must be >= 1")
+
+
+def _check_tolerance(tolerance) -> None:
+    if not tolerance > 0:
+        raise InvalidParameter("tolerance must be positive")
+
+
 @dataclass(frozen=True)
 class SmoothingConfig:
     """Parameters of a smoothing run; mirrors the JSON config file.
@@ -113,14 +123,12 @@ class SmoothingConfig:
             raise InvalidParameter(f"unknown laplacian kind {self.laplacian_kind!r}")
         if self.mode not in MODES:
             raise InvalidParameter(f"unknown mode {self.mode!r}")
-        if self.epochs < 1:
-            raise InvalidParameter("epochs must be >= 1")
+        _check_epochs(self.epochs)
         if self.discrepancy not in DISCREPANCIES:
             raise InvalidParameter(f"unknown discrepancy {self.discrepancy!r}")
         if self.discrepancy == "kl" and self.laplacian_kind != UNNORMALIZED:
             raise InvalidParameter("kl discrepancy requires the unnormalized laplacian")
-        if not self.tolerance > 0:
-            raise InvalidParameter("tolerance must be positive")
+        _check_tolerance(self.tolerance)
         if self.dense_limit < 0:
             raise InvalidParameter("dense_limit must be >= 0")
 
@@ -198,8 +206,7 @@ def smooth_conjugate_gradient(
     if L.kind != UNNORMALIZED:
         raise InvalidParameter("conjugate gradient requires the unnormalized laplacian")
     _check_lambda(lam)
-    if not tolerance > 0:
-        raise InvalidParameter("tolerance must be positive")
+    _check_tolerance(tolerance)
     y = check_outputs(yhat, L.n)
     if lam == 0.0:
         f, iterations, residual = y.copy(), 0, 0.0
@@ -308,22 +315,20 @@ def _cd_sweeps(
 
 
 def smooth_coordinate_descent(
-    yhat: np.ndarray,
-    L: LaplacianOperator,
-    config: SmoothingConfig,
+    yhat: np.ndarray, L: LaplacianOperator, lam: float, *, epochs: int, seed: int, tolerance: float,
     return_info: bool = False,
 ):
-    """Coordinate-descent minimizer of the smoothing objective.
+    """Coordinate-descent minimizer of the smoothing objective at ``lam``.
 
-    Coordinates are visited in a seed-determined random permutation per
-    epoch, updated in place (Gauss-Seidel), and the sweep stops early once
-    the largest coordinate change falls below the tolerance.
+    Gauss-Seidel epochs on sym(L), each in a ``seed``-determined random order,
+    run until one moves no coordinate by ``tolerance`` or ``epochs`` have run;
+    ``return_info`` adds ``epochs_used`` and ``last_max_change``.
     """
+    _check_lambda(lam)
+    _check_epochs(epochs)
+    _check_tolerance(tolerance)
     y = check_outputs(yhat, L.n)
-    S = L.symmetrized()
-    f, epochs_used, last_change = _cd_sweeps(
-        y, S, config.lam, config.epochs, config.seed, config.tolerance
-    )
+    f, epochs_used, last_change = _cd_sweeps(y, L.symmetrized(), lam, epochs, seed, tolerance)
     out = restore_shape(f, yhat)
     if return_info:
         return out, {"epochs_used": epochs_used, "last_max_change": float(last_change)}
@@ -341,7 +346,10 @@ def inductive_update(
     ``new_weights`` are the similarity weights from the new point to the n
     existing points, as a dense vector or a 1 x n scipy sparse row; the
     induced unnormalized-Laplacian row has the weight sum on the diagonal
-    and -w_j off the diagonal.
+    and -w_j off the diagonal.  Weights must be >= 0, as in a similarity
+    graph; they are not checked here, since that would cost a pass over n.
+    ``yhat_new`` has one entry per column of an (n, K) ``f_fixed``, and one
+    entry for a vector, for which the result is a scalar.
     """
     _check_lambda(lam)
     if sparse.issparse(new_weights):
@@ -359,6 +367,8 @@ def inductive_update(
             f"{w.shape[0]} weights for {f.shape[0]} fixed outputs"
         )
     y_new = np.atleast_1d(np.asarray(yhat_new, dtype=float))
+    if y_new.shape != f.shape[1:]:
+        raise DimensionMismatch(f"yhat_new has shape {y_new.shape}, expected {f.shape[1]} entries")
     # a NaN or infinite weight, fitted output or yhat_new reaches the K
     # results, so checking them costs O(K), not another pass over n; the
     # check stands in for NumPy's warnings
@@ -369,7 +379,7 @@ def inductive_update(
         out = (y_new + lam * (w @ f)) / denom
     if not np.isfinite(out).all():
         raise InvalidParameter("inductive update is not finite: a weight, fitted output or yhat_new is NaN or inf")
-    return out[0] if squeeze and out.size == 1 else out
+    return out[0] if squeeze else out
 
 
 # -- natural parameters and KL smoothing -----------------------------------
@@ -435,7 +445,7 @@ def smooth_kl(yhat_probs: np.ndarray, L_un: LaplacianOperator, lam: float) -> np
     if L_un.kind != UNNORMALIZED:
         raise InvalidParameter("kl smoothing requires the unnormalized laplacian")
     eta = to_natural_params(np.atleast_2d(yhat_probs))
-    f, _ = _solve(eta, L_un, SmoothingConfig(lam=lam), {})
+    f, _ = _solve(eta, L_un, lam, SmoothingConfig(lam=lam))
     return from_natural_params(f)
 
 
@@ -491,55 +501,50 @@ def run_smoothing(yhat: np.ndarray, g: SimilarityGraph, config: SmoothingConfig)
     lam = config.lam
     if config.laplacian_kind == NORMALIZED_RW and config.nrw_lambda_scaling:
         lam = lam * average_degree(g)
+    kl = config.discrepancy == "kl"
+    y = to_natural_params(np.atleast_2d(yhat)) if kl else check_outputs(yhat, L.n)
+    f, info = _solve(y, L, lam, config)
     meta = {
         "mode": config.mode,
         "discrepancy": config.discrepancy,
         "laplacian_kind": config.laplacian_kind,
         "lambda": config.lam,
         "effective_lambda": lam,
-        "fallback_to_cd": False,
+        **info,
     }
-    kl = config.discrepancy == "kl"
-    y = to_natural_params(np.atleast_2d(yhat)) if kl else check_outputs(yhat, L.n)
-    f, meta = _solve(y, L, replace(config, lam=lam, nrw_lambda_scaling=False), meta)
-    if meta["solver"] == "cg":
-        # CG certified f by its recomputed residual, which is -r bit for bit
-        meta["converged"] = True
-    else:
-        r = np.max(np.abs(f - y + lam * apply_symmetrized(L, f)), axis=0, initial=0.0)
-        meta["residual"] = float(np.max(r, initial=0.0))
-        meta["converged"] = bool(np.all(r <= _column_bounds(y, config.tolerance)))
-    if kl:
-        return from_natural_params(f), meta
-    return restore_shape(f, yhat), meta
+    return (from_natural_params(f) if kl else restore_shape(f, yhat)), meta
 
 
-def _solver_for(y, L, config):
-    """'cholesky', 'cg' or 'coordinate_descent', by the rule in run_smoothing."""
+def _solve(y, L, lam, config):
+    """Pick, run and certify the solver of (I + lam sym(L)) f = y by the rule
+    in run_smoothing; solvers are called through the module globals, where
+    tracers wrap them.  Returns (f, info) for an (n, K) table y."""
     n, k = y.shape
     if config.mode == "coordinate_descent":
-        return "coordinate_descent"
-    if L.kind == UNNORMALIZED:
-        it = _cg_iteration_bound(L, config.lam, config.tolerance)
+        solver = "coordinate_descent"
+    elif L.kind == UNNORMALIZED:
+        it = _cg_iteration_bound(L, lam, config.tolerance)
         cholesky_flops = n**3 / 3 + 2 * n * n * k
         cg_flops = it * (2 * L.matrix.nnz + 10 * n) * k
-        return "cholesky" if n <= config.dense_limit and cholesky_flops <= cg_flops else "cg"
-    return "cholesky" if n <= config.dense_limit else "coordinate_descent"
-
-
-def _solve(y, L, config, meta):
-    solver = _solver_for(y, L, config)
-    meta.update(solver=solver, epochs_used=0, iterations=0)
-    if solver == "coordinate_descent" and config.mode == "closed_form":
-        meta["fallback_to_cd"] = True
-        meta["fallback_reason"] = f"n={L.n} exceeds dense limit {config.dense_limit}"
-    if solver == "cholesky":
-        # called through the module global, where tracers wrap it
-        return smooth_closed_form(y, L, config.lam), meta
-    if solver == "cg":
-        f, info = smooth_conjugate_gradient(y, L, config.lam, config.tolerance, return_info=True)
+        solver = "cholesky" if n <= config.dense_limit and cholesky_flops <= cg_flops else "cg"
     else:
-        f, info = smooth_coordinate_descent(y, L, config, return_info=True)
-        info["iterations"] = info["epochs_used"]
-    meta.update(info)
-    return f, meta
+        solver = "cholesky" if n <= config.dense_limit else "coordinate_descent"
+    fallback = solver == "coordinate_descent" and config.mode == "closed_form"
+    info = {"solver": solver, "fallback_to_cd": fallback, "iterations": 0}
+    if fallback:
+        info["fallback_reason"] = f"n={n} exceeds dense limit {config.dense_limit}"
+    if solver == "cg":
+        f, cg = smooth_conjugate_gradient(y, L, lam, config.tolerance, return_info=True)
+        # CG certified f by its recomputed residual, which is -r bit for bit
+        return f, {**info, **cg, "converged": True}
+    if solver == "cholesky":
+        f = smooth_closed_form(y, L, lam)
+    else:
+        f, cd = smooth_coordinate_descent(
+            y, L, lam, epochs=config.epochs, seed=config.seed, tolerance=config.tolerance, return_info=True
+        )
+        info.update(iterations=cd["epochs_used"], last_max_change=cd["last_max_change"])
+    r = np.max(np.abs(f - y + lam * apply_symmetrized(L, f)), axis=0, initial=0.0)
+    info["residual"] = float(np.max(r, initial=0.0))
+    info["converged"] = bool(np.all(r <= _column_bounds(y, config.tolerance)))
+    return f, info

@@ -241,10 +241,11 @@ def convergence_report(
     standard deviation (ddof=1; ``nan`` for a single seed, where the spread
     is undefined), and the relative error against the analytic limit.
     """
-    n_grid = list(n_grid)
+    n_grid, seeds = list(n_grid), list(seeds)
+    if not n_grid or not seeds:
+        raise InvalidParameter("n_grid is empty" if not n_grid else "seeds is empty")
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise InvalidParameter("n_grid must be strictly increasing")
-    seeds = list(seeds)
     limit_un, limit_nrw = analytic_limit(spec)
     rows = []
     for n in n_grid:

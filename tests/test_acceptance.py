@@ -25,7 +25,6 @@ from fairsmooth import (
     violation_histogram,
 )
 from fairsmooth.laplacian import UNNORMALIZED, make_laplacian, unnormalized_laplacian
-from fairsmooth.smoother import SmoothingConfig
 from fairsmooth.synthcheck import SyntheticSpec, convergence_report
 
 EUCLID = FairMetricSpec("euclidean")
@@ -56,8 +55,7 @@ def test_criterion_1_solver_oracle_equivalence():
         lam = lambdas[trial % 3]
         L = make_laplacian(g, UNNORMALIZED)
         f_cf = smooth_closed_form(y, L, lam)
-        config = SmoothingConfig(lam=lam, epochs=5000, tolerance=1e-9, seed=trial)
-        f_cd = smooth_coordinate_descent(y, L, config)
+        f_cd = smooth_coordinate_descent(y, L, lam, epochs=5000, seed=trial, tolerance=1e-9)
         worst = max(worst, float(np.max(np.abs(f_cf - f_cd))))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-6 and elapsed < 60.0
@@ -400,10 +398,11 @@ def test_criterion_10_scaling_growth_ratios():
         g = graph_from_annotations(pairs, n=n)
         L = unnormalized_laplacian(g)
         y = rng.normal(size=n)
-        config = SmoothingConfig(lam=1.0, epochs=10, tolerance=1e-300)
         # the minimum of three repeats, so one stall cannot invert a ratio
         t_cf[n] = min_seconds(lambda: smooth_closed_form(y, L, 1.0))
-        t_cd[n] = min_seconds(lambda: smooth_coordinate_descent(y, L, config))
+        t_cd[n] = min_seconds(
+            lambda: smooth_coordinate_descent(y, L, 1.0, epochs=10, seed=0, tolerance=1e-300)
+        )
     ratio_cf = t_cf[2000] / t_cf[500]
     ratio_cd = t_cd[2000] / t_cd[500]
     ok = ratio_cf > ratio_cd

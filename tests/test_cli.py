@@ -529,6 +529,24 @@ class TestInductive:
         assert code == 1
         assert_one_error_line(capsys, error)
 
+    @pytest.mark.parametrize("yhat_new", ["", "0.1", "0.1,0.2,0.3"])
+    def test_yhat_new_of_wrong_length_rejected(self, tmp_path, capsys, yhat_new):
+        # a single value was broadcast over both columns, with exit 0; the others ended in a traceback
+        fitted = write_outputs(tmp_path, np.array([[1.0, 0.0], [0.0, 1.0]]), "fitted.csv")
+        weights = tmp_path / "weights.tsv"
+        weights.write_text("0\t1.0\n")
+        code = main(
+            [
+                "smooth-inductive",
+                "--fitted", fitted,
+                "--weights", str(weights),
+                "--yhat-new", yhat_new,
+                "--lambda", "1.0",
+            ]
+        )
+        assert code == 1
+        assert_one_error_line(capsys, "DimensionMismatch")
+
     def test_non_finite_fitted_rejected(self, tmp_path, capsys):
         # printed nan with exit 0, although row 0 has weight 0
         fitted = write_outputs(tmp_path, np.array([[np.nan], [1.0]]), "fitted.csv")
@@ -805,6 +823,17 @@ class TestCheckLimits:
         assert main(args + ["--out", out2]) == 0
         assert open(out1, "rb").read() == open(out2, "rb").read()
 
+
+    @pytest.mark.parametrize("flag", ["--n-grid", "--seeds"])
+    def test_empty_list_exit_code_1(self, tmp_path, capsys, flag):
+        # an empty --seeds wrote NaN rows, an empty --n-grid only a header; both exited 0
+        out = tmp_path / "limits.csv"
+        args = {"--n-grid": "20,40", "--seeds": "0,1"}
+        args[flag] = ""
+        code = main(["check", "limits", *[t for kv in args.items() for t in kv], "--out", str(out)])
+        assert code == 1
+        assert_one_error_line(capsys, "InvalidParameter")
+        assert not out.exists()
 
     def test_stdout_matches_file(self, tmp_path, capsys):
         args = ["check", "limits", "--n-grid", "20,40", "--seeds", "5,6"]

@@ -166,7 +166,7 @@ class TestDispatch:
         y = np.random.default_rng(8).uniform(size=2500)
         f, meta = run_smoothing(y, g, SmoothingConfig(lam=1.0))
         assert (meta["solver"], meta["converged"], meta["fallback_to_cd"]) == ("cg", True, False)
-        assert meta["iterations"] > 0 and meta["epochs_used"] == 0
+        assert meta["iterations"] > 0 and "epochs_used" not in meta
         assert meta["residual"] <= TOL * max(1.0, float(np.max(np.abs(y))))
         L = make_laplacian(g, UNNORMALIZED)
         assert meta["residual"] == float(np.max(np.abs(f - y + L.matrix @ f)))

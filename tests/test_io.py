@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from fairsmooth import io, read_edge_list
-from fairsmooth.cli import _read_weight_rows
 from fairsmooth.errors import IndexOutOfRange, ParseError
 from fairsmooth.io import (
     read_groups_csv,
@@ -14,6 +13,11 @@ from fairsmooth.io import (
     read_table,
     write_matrix_csv,
 )
+
+
+def _read_weight_rows(path):
+    """An 'index<TAB>weight' table read as ``smooth inductive`` reads ``--weights``."""
+    return read_table(path, (np.int64, float), delimiter="\t", comments=True)[0]
 
 
 class TestReadPairsTsv:

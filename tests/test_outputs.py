@@ -42,7 +42,9 @@ CASES = {
     "objective": (lambda y: objective(y, L, 0.5, 0.5 * np.asarray(y)), False),
     "smooth_closed_form": (lambda y: smooth_closed_form(y, L, 0.5), True),
     "smooth_conjugate_gradient": (lambda y: smooth_conjugate_gradient(y, L, 0.5, 1e-10), True),
-    "smooth_coordinate_descent": (lambda y: smooth_coordinate_descent(y, L, SmoothingConfig(lam=0.5)), True),
+    "smooth_coordinate_descent": (
+        lambda y: smooth_coordinate_descent(y, L, 0.5, epochs=10, seed=0, tolerance=1e-9), True
+    ),
     "run_smoothing": (lambda y: run_smoothing(y, GRAPH, SmoothingConfig(lam=0.5))[0], True),
     "global_if_project": (lambda y: global_if_project(y, CONSTRAINTS), True),
     "count_violations": (lambda y: count_violations(y, CONSTRAINTS), False),

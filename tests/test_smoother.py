@@ -8,6 +8,7 @@ from fairsmooth import (
     FairMetricSpec,
     SimilarityGraph,
     SmoothingConfig,
+    average_degree,
     build_similarity_graph,
     from_natural_params,
     graph_from_annotations,
@@ -85,8 +86,7 @@ class TestClosedForm:
 class TestCoordinateDescent:
     def test_lambda_zero_one_epoch(self):
         y = np.array([0.7, -0.2])
-        config = SmoothingConfig(lam=0.0, epochs=1)
-        f = smooth_coordinate_descent(y, PATH2, config)
+        f = smooth_coordinate_descent(y, PATH2, 0.0, epochs=1, seed=0, tolerance=1e-9)
         assert np.allclose(f, y)
 
     def test_one_epoch_sequential_hand_example(self):
@@ -96,16 +96,14 @@ class TestCoordinateDescent:
         # f_1 still 1: f_0 = 0.5; then f_1 <- (1 + 0.5) / 2 = 0.75
         assert list(np.random.default_rng(0).permutation(2)) == [0, 1]
         y = np.array([0.0, 1.0])
-        config = SmoothingConfig(lam=1.0, epochs=1, seed=0, tolerance=1e-30)
-        f = smooth_coordinate_descent(y, PATH2, config)
+        f = smooth_coordinate_descent(y, PATH2, 1.0, epochs=1, seed=0, tolerance=1e-30)
         assert np.allclose(f, [0.5, 0.75], atol=1e-12)
 
     def test_matches_closed_form_small_instance(self):
         rng = np.random.default_rng(22)
         g, y = random_instance(rng, 10, 1)
         L = make_laplacian(g, UNNORMALIZED)
-        config = SmoothingConfig(lam=1.0, epochs=500, tolerance=1e-12)
-        f_cd = smooth_coordinate_descent(y, L, config)
+        f_cd = smooth_coordinate_descent(y, L, 1.0, epochs=500, seed=0, tolerance=1e-12)
         f_cf = smooth_closed_form(y, L, 1.0)
         assert np.max(np.abs(f_cd - f_cf)) < 1e-6
 
@@ -113,8 +111,7 @@ class TestCoordinateDescent:
         rng = np.random.default_rng(23)
         g, y = random_instance(rng, 10, 1)
         L = make_laplacian(g, UNNORMALIZED)
-        config = SmoothingConfig(lam=0.5, epochs=500, tolerance=1e-10)
-        f, info = smooth_coordinate_descent(y, L, config, return_info=True)
+        f, info = smooth_coordinate_descent(y, L, 0.5, epochs=500, seed=0, tolerance=1e-10, return_info=True)
         assert info["epochs_used"] < 500
         assert info["last_max_change"] < 1e-10
 
@@ -125,8 +122,7 @@ class TestCoordinateDescent:
         lam = 2.0
         values = []
         for epochs in range(1, 8):
-            config = SmoothingConfig(lam=lam, epochs=epochs, seed=5, tolerance=1e-30)
-            f = smooth_coordinate_descent(y, L, config)
+            f = smooth_coordinate_descent(y, L, lam, epochs=epochs, seed=5, tolerance=1e-30)
             values.append(objective(y, L, lam, f))
         for prev, cur in zip(values, values[1:]):
             assert cur <= prev + 1e-12
@@ -135,10 +131,25 @@ class TestCoordinateDescent:
         rng = np.random.default_rng(25)
         g, y = random_instance(rng, 15, 2)
         L = make_laplacian(g, UNNORMALIZED)
-        config = SmoothingConfig(lam=1.0, epochs=3, seed=9, tolerance=1e-30)
-        f1 = smooth_coordinate_descent(y, L, config)
-        f2 = smooth_coordinate_descent(y, L, config)
+        options = {"epochs": 3, "seed": 9, "tolerance": 1e-30}
+        f1 = smooth_coordinate_descent(y, L, 1.0, **options)
+        f2 = smooth_coordinate_descent(y, L, 1.0, **options)
         assert np.array_equal(f1, f2)
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            ({"lam": -1.0}, "lambda must be finite"),
+            ({"lam": np.inf}, "lambda must be finite"),
+            ({"epochs": 0}, "epochs must be >= 1"),
+            ({"tolerance": 0.0}, "tolerance must be positive"),
+            ({"tolerance": np.nan}, "tolerance must be positive"),
+        ],
+    )
+    def test_numbers_checked_as_in_config(self, options, message):
+        args = {"lam": 1.0, "epochs": 3, "seed": 0, "tolerance": 1e-9, **options}
+        with pytest.raises(InvalidParameter, match=message):
+            smooth_coordinate_descent(np.zeros(2), PATH2, **args)
 
     @pytest.mark.parametrize("kind", [UNNORMALIZED, NORMALIZED_RW])
     @pytest.mark.parametrize("k", [1, 3])
@@ -322,6 +333,28 @@ class TestInductive:
         # their sum is NaN, which NumPy warned about before the result check
         with pytest.raises(InvalidParameter, match="not finite"):
             inductive_update(np.ones((3, 2)), np.array([np.inf, -np.inf, 1.0]), np.zeros(2), lam=1.0)
+
+    @pytest.mark.parametrize(
+        "f, y_new",
+        [
+            (np.ones((3, 2)), []),
+            (np.ones((3, 2)), [0.5]),  # was broadcast over both columns
+            (np.ones((3, 2)), 0.5),
+            (np.ones((3, 2)), [0.1, 0.2, 0.3]),
+            (np.ones((3, 2)), [[0.1, 0.2]]),
+            (np.ones(3), [0.1, 0.2]),
+            (np.ones(3), []),
+            (np.ones((3, 1)), [0.1, 0.2]),
+        ],
+    )
+    def test_yhat_new_needs_one_entry_per_column(self, f, y_new):
+        with pytest.raises(DimensionMismatch, match="yhat_new has shape"):
+            inductive_update(f, np.ones(3), y_new, lam=1.0)
+
+    def test_yhat_new_shapes_accepted(self):
+        assert np.ndim(inductive_update(np.ones(3), np.ones(3), [0.5], lam=1.0)) == 0
+        assert inductive_update(np.ones((3, 1)), np.ones(3), 0.5, lam=1.0).shape == (1,)
+        assert inductive_update(np.ones((3, 2)), np.ones(3), [0.5, 0.5], lam=1.0).shape == (2,)
 
     def test_fitted_outputs_neither_vector_nor_table(self):
         with pytest.raises(DimensionMismatch, match=r"shape \(3, 2, 1\)"):
@@ -570,6 +603,51 @@ class TestRunSmoothing:
     def test_kl_discrepancy_config_validation(self):
         with pytest.raises(InvalidParameter):
             SmoothingConfig(discrepancy="kl", laplacian_kind=NORMALIZED_RW)
+
+
+# (config fields, the solver run_smoothing runs): every solve path, both kinds
+SOLVE_PATHS = [
+    ({}, "cholesky"),
+    ({"dense_limit": 2}, "cg"),
+    ({"mode": "coordinate_descent"}, "coordinate_descent"),
+    ({"laplacian_kind": NORMALIZED_RW}, "cholesky"),
+    ({"laplacian_kind": NORMALIZED_RW, "dense_limit": 2}, "coordinate_descent"),
+    ({"laplacian_kind": NORMALIZED_RW, "mode": "coordinate_descent"}, "coordinate_descent"),
+    ({"discrepancy": "kl"}, "cholesky"),
+    ({"discrepancy": "kl", "dense_limit": 2}, "cg"),
+    ({"discrepancy": "kl", "mode": "coordinate_descent"}, "coordinate_descent"),
+]
+
+
+@pytest.mark.parametrize("fields, solver", SOLVE_PATHS)
+def test_run_smoothing_is_the_direct_solve(fields, solver):
+    # run_smoothing returns what the solver it names returns at the
+    # effective lambda, bit for bit; coordinate descent used to take lambda
+    # from its config unscaled when called directly
+    rng = np.random.default_rng(38)
+    g = build_similarity_graph(rng.normal(size=(30, 2)), EUCLID, theta=0.5, tau=1.5)
+    config = SmoothingConfig(lam=0.8, epochs=50, seed=3, tolerance=1e-12, **fields)
+    kl = config.discrepancy == "kl"
+    y = rng.dirichlet(np.ones(3), size=30) if kl else rng.normal(size=(30, 2))
+    f, meta = run_smoothing(y, g, config)
+    L = make_laplacian(g, config.laplacian_kind)
+    lam = meta["effective_lambda"]
+    assert lam == (0.8 * average_degree(g) if L.kind == NORMALIZED_RW else 0.8)
+    assert (meta["solver"], "epochs_used" in meta) == (solver, False)
+    assert meta["fallback_to_cd"] == (solver == "coordinate_descent" and config.mode == "closed_form")
+    eta = to_natural_params(y) if kl else y
+    if solver == "cholesky":
+        direct = smooth_closed_form(eta, L, lam)
+    elif solver == "cg":
+        direct = smooth_conjugate_gradient(eta, L, lam, config.tolerance)
+    else:
+        direct = smooth_coordinate_descent(
+            eta, L, lam, epochs=config.epochs, seed=config.seed, tolerance=config.tolerance
+        )
+    expected = from_natural_params(direct) if kl else direct
+    assert f.shape == expected.shape and f.tobytes() == expected.tobytes()
+    if kl and "dense_limit" not in fields and config.mode == "closed_form":
+        assert f.tobytes() == smooth_kl(y, L, 0.8).tobytes()
 
 
 class TestRunSmoothingShapes:

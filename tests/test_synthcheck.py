@@ -282,3 +282,12 @@ class TestConvergenceReport:
     def test_non_increasing_grid_rejected(self):
         with pytest.raises(InvalidParameter):
             convergence_report(SyntheticSpec(), [100, 100], seeds=[0, 1, 2])
+
+    def test_empty_seed_list_rejected(self):
+        # the means of no seeds were NaN, with NumPy warnings
+        with pytest.raises(InvalidParameter, match="seeds is empty"):
+            convergence_report(SyntheticSpec(), [40, 80], seeds=[])
+
+    def test_empty_grid_rejected(self):
+        with pytest.raises(InvalidParameter, match="n_grid is empty"):
+            convergence_report(SyntheticSpec(), [], seeds=[0, 1])
