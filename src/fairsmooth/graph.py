@@ -21,7 +21,7 @@ from .errors import (
     ParseError,
     SelfLoop,
 )
-from .io import line_of_row, read_table, write_rows
+from .io import FLOAT_FMT, line_of_row, read_table, write_rows
 from .metric import FairMetricSpec, check_points, pair_fair_distances
 
 # weights this small cannot influence solutions beyond machine precision
@@ -30,6 +30,9 @@ WEIGHT_FLOOR = 1e-15
 DEFAULT_THETA = 1e-4
 
 EPS = np.finfo(float).eps
+
+# the largest n whose sort key rows * n + cols fits in int64
+MAX_NODES = 3_037_000_499
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,10 +45,10 @@ class SimilarityGraph:
     form: a reversed pair (j, i) is stored as (i, j), the edges are sorted,
     and the weights of a pair given more than once are summed in input
     order.  A self-loop raises SelfLoop, an index outside 0..n-1
-    IndexOutOfRange, and a negative n or a weight that is not finite and
-    >= 0 InvalidParameter.  Contiguous int64/float64 arrays already in that
-    form are kept as they are, without a copy.  Graphs compare and hash by
-    identity.
+    IndexOutOfRange, and a negative n, an n above MAX_NODES, or a weight
+    that is not finite and >= 0 InvalidParameter.  Contiguous int64/float64
+    arrays already in that form are kept as they are, without a copy.
+    Graphs compare and hash by identity.
     """
 
     n: int
@@ -56,6 +59,8 @@ class SimilarityGraph:
     def __post_init__(self):
         if self.n < 0:
             raise InvalidParameter(f"n must be >= 0, got {self.n}")
+        if self.n > MAX_NODES:
+            raise InvalidParameter(f"n must be <= {MAX_NODES}, got {self.n}")
         rows, cols = (np.asarray(a) for a in (self.rows, self.cols))
         if rows.size and not (rows.dtype.kind in "iu" and cols.dtype.kind in "iu"):
             raise InvalidParameter(f"edge indices must be integers, got {rows.dtype} and {cols.dtype}")
@@ -77,8 +82,8 @@ class SimilarityGraph:
         if np.any(rows > cols):
             rows, cols = np.minimum(rows, cols), np.maximum(rows, cols)
         if not np.all((rows[1:] > rows[:-1]) | ((rows[1:] == rows[:-1]) & (cols[1:] > cols[:-1]))):
-            # np.lexsort is stable, so the copies of a pair keep their input order
-            order = np.lexsort((cols, rows))
+            # a stable sort by one key, so the copies of a pair keep their input order
+            order = np.argsort(rows * self.n + cols, kind="stable")
             rows, cols, weights = rows[order], cols[order], weights[order]
             repeat = (rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])
             if repeat.any():
@@ -216,7 +221,7 @@ def write_edge_list(g: SimilarityGraph, path) -> None:
     """Write the graph as TSV: header '# n=<n>' then 'i<TAB>j<TAB>w' lines."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# n={g.n}\n")
-        write_rows(fh, "%d\t%d\t%.17g\n", g.rows, g.cols, g.weights)
+        write_rows(fh, f"%d\t%d\t{FLOAT_FMT}\n", g.rows, g.cols, g.weights)
 
 
 def read_edge_list(path) -> SimilarityGraph:

@@ -1,11 +1,16 @@
 """File formats: CSV matrices, TSV pair lists, groups and labels files.
 
 Floats are serialized with 17 significant digits so that re-reading a file
-reproduces the exact double-precision values.
+reproduces the exact double-precision values.  The bytes written are those
+of ``'%.17g' % x``, formatted in bulk with double-double arithmetic; a value
+that arithmetic cannot certify is formatted by Python.  np.loadtxt reads a
+float field bit for bit as ``float()`` reads it.
 """
 
 import csv
+import functools
 import json
+import re
 import warnings
 from typing import List, Optional, Sequence, Tuple
 
@@ -132,15 +137,217 @@ def _comment_lines(path) -> List[Tuple[int, str]]:
 
 
 def write_rows(fh, row_format: str, *columns) -> None:
-    """Write one ``row_format`` line per row of the parallel 1-D ``columns``."""
-    width = len(columns)
+    """Write one ``row_format`` line per row of the parallel 1-D ``columns``.
+
+    The text is ``row_format % row`` for each row.  ``FLOAT_FMT`` and ``%d``
+    fields of numeric columns are formatted in bulk (see
+    :func:`_float_tokens`); any other field goes through ``%`` one value at a
+    time, and must not contain a NUL character.
+    """
+    literals, specs = _parse_row_format(row_format)
+    if len(specs) != len(columns):
+        raise TypeError(f"row format {row_format!r} has {len(specs)} fields for {len(columns)} columns")
+    columns = [np.asarray(column) for column in columns]
+    literals = [np.frombuffer(text.encode("utf-8"), dtype=np.uint8)[:, None] for text in literals]
     total = len(columns[0]) if columns else 0
     for start in range(0, total, WRITE_CHUNK):
         stop = min(start + WRITE_CHUNK, total)
-        values = [None] * (width * (stop - start))
-        for k, column in enumerate(columns):
-            values[k::width] = column[start:stop].tolist()
-        fh.write((row_format * (stop - start)) % tuple(values))
+        parts = [literals[0]]
+        for spec, column, literal in zip(specs, columns, literals[1:]):
+            parts += [_tokens(spec, column[start:stop]), literal]
+        # one column per line, NUL-padded, so the text is the transpose without NULs
+        lines = np.empty((sum(len(part) for part in parts), stop - start), dtype=np.uint8)
+        at = 0
+        for part in parts:
+            lines[at : at + len(part)] = part
+            at += len(part)
+        fh.write(lines.T.tobytes().translate(None, b"\0").decode("utf-8"))
+
+
+_ROW_FIELD = re.compile(r"%%|%[^a-zA-Z%]*[a-zA-Z]")
+
+
+def _parse_row_format(row_format: str):
+    """The literal text around each conversion of ``row_format``, and the conversions."""
+    literals, specs, at = [""], [], 0
+    for match in _ROW_FIELD.finditer(row_format):
+        literals[-1] += row_format[at : match.start()]
+        if match.group() == "%%":
+            literals[-1] += "%"
+        else:
+            specs.append(match.group())
+            literals.append("")
+        at = match.end()
+    literals[-1] += row_format[at:]
+    return literals, specs
+
+
+def _tokens(spec: str, column: np.ndarray) -> np.ndarray:
+    """The formatted fields of one chunk of a column, as a NUL-padded
+    (width, m) uint8 array with one field per column."""
+    if column.dtype.kind in "biuf" and spec == FLOAT_FMT:
+        return _float_tokens(column.astype(float, copy=False))
+    if column.dtype.kind in "iu" and spec == "%d":
+        return _int_tokens(column)
+    return _text_tokens([spec % v for v in column.tolist()])
+
+
+def _text_tokens(texts) -> np.ndarray:
+    """The strings ``texts`` as a NUL-padded (width, m) uint8 array of their UTF-8 bytes."""
+    data = np.array([text.encode("utf-8") for text in texts], dtype=bytes)
+    return data.view(np.uint8).reshape(len(texts), data.dtype.itemsize).T
+
+
+# Exact bulk '%.17g' formatting.  For a positive double a, the 17 significant
+# digits are D = round(a * 10**(16 - X)) with X = floor(log10(a)), and that
+# product is evaluated exactly enough to round it: 10**k is held as a pair
+# hi + lo of doubles, and a * hi is split into a rounded product and its exact
+# error with Veltkamp's split (Dekker 1971), so the product is known to about
+# 2**-100 of its size.  Lanes that this cannot settle go through
+# format_float: zeros, infinities, NaNs, subnormals, exponents outside the
+# table and products within 1e-9 of a rounding tie.
+
+_SPLITTER = 134217729.0  # 2**27 + 1
+# 10**k for k in this range has a normal lo part, and no split overflows
+_POW_MIN, _POW_MAX = -280, 300
+_TINY = np.finfo(float).tiny
+_TIE_MARGIN = 1e-9
+
+
+def _split(a):
+    """Veltkamp's split: hi + lo == a, each with at most 26 significant bits."""
+    c = _SPLITTER * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+@functools.lru_cache(maxsize=None)
+def _powers_of_ten():
+    """hi, lo, and Veltkamp's split of hi, with hi + lo within 2**-106 of
+    10**k, for k from _POW_MIN to _POW_MAX."""
+    from fractions import Fraction  # only a process that writes floats needs it
+
+    hi, lo = [], []
+    for k in range(_POW_MIN, _POW_MAX + 1):
+        exact = Fraction(10) ** k
+        hi.append(float(exact))
+        lo.append(float(exact - Fraction(hi[-1])))
+    hi, lo = np.array(hi), np.array(lo)
+    return (hi, lo, *_split(hi))
+
+
+def _scale(a, k):
+    """(s, r) with s + r equal to a * 10**k within about 2**-100 of its size
+    and |r| at most half an ulp of s, for k inside the table."""
+    hi, lo, hi_hi, hi_lo = (table[k - _POW_MIN] for table in _powers_of_ten())
+    p = a * hi
+    a_hi, a_lo = _split(a)
+    # Dekker's exact product: p + e == a * hi
+    e = a_lo * hi_lo - (((p - a_hi * hi_hi) - a_lo * hi_hi) - a_hi * hi_lo)
+    t = e + a * lo
+    s = p + t
+    return s, t - (s - p)
+
+
+def _significand(a):
+    """For positive doubles a, (D, X, ok): D the int64 in [1e16, 1e17) with
+    D * 10**(X - 16) the 17-significant-digit rounding of a, half to even,
+    wherever ok; elsewhere a is not normal, is outside the table, or is
+    within _TIE_MARGIN of a tie."""
+    ok = (a >= _TINY) & (a < np.inf)
+    a = np.where(ok, a, 1.0)
+    X = np.floor(np.log10(a)).astype(np.int64)
+    ok &= (X >= 16 - _POW_MAX) & (X <= 16 - _POW_MIN)
+    X = np.clip(X, 16 - _POW_MAX, 16 - _POW_MIN)
+    s, r = _scale(a, 16 - X)
+    # log10 can be one off next to a power of ten
+    off = np.flatnonzero((s < 1e16) | (s >= 1e17))
+    if off.size:
+        X[off] += np.where(s[off] < 1e16, -1, 1)
+        X[off] = np.clip(X[off], 16 - _POW_MAX, 16 - _POW_MIN)
+        s[off], r[off] = _scale(a[off], 16 - X[off])
+    ok &= ((s > 1e16) | ((s == 1e16) & (r >= 0))) & (s < 1e17)
+    # s is an even integer, so rounding r half to even rounds s + r half to even
+    ok &= np.abs(r - np.floor(r) - 0.5) > _TIE_MARGIN
+    D = s.astype(np.int64) + np.rint(r).astype(np.int64)
+    carry = D == 10**17
+    return np.where(carry, 10**16, D), X + carry, ok
+
+
+def _digits(y, width: int) -> np.ndarray:
+    """The last ``width`` decimal digits of the non-negative integers y, as a
+    (width, *y.shape) uint8 array."""
+    digits = np.empty((width, *y.shape), dtype=np.uint8)
+    y, q = y.copy(), np.empty_like(y)
+    for j in range(width - 1, -1, -1):
+        np.floor_divide(y, 10, out=q)
+        digits[j] = y - q * 10
+        y, q = q, y
+    return digits
+
+
+def _float_tokens(x: np.ndarray) -> np.ndarray:
+    """``FLOAT_FMT % v`` for each v of the float64 array x, as a NUL-padded
+    (width, m) uint8 array with one field per column.
+
+    NUL bytes stand in for the characters a field does not use, so every
+    field is laid out the same way: a sign, the '0.' and zeros in front of a
+    number below 1 in fixed notation, the 17 digits with a slot for the
+    point, and the exponent.
+    """
+    m = x.size
+    with np.errstate(over="ignore", invalid="ignore"):
+        D, X, ok = _significand(np.abs(x))
+    hi = D // 10**9
+    digits = np.concatenate([_digits(hi.astype(np.uint32), 8), _digits((D - hi * 10**9).astype(np.uint32), 9)])
+    fixed = (X >= -4) & (X < 17)
+    # digits before the point: X + 1 in fixed notation, one in exponent notation
+    point = np.where(fixed, np.maximum(X + 1, 0), 1).astype(np.int8)
+    column = np.arange(18, dtype=np.int8)[:, None]
+    significant = ((digits != 0) * column[1:]).max(axis=0)
+    # trailing zeros after the point are dropped
+    shown = np.zeros((19, m), dtype=np.uint8)
+    shown[1:18] = (digits + 48) * (column[:17] < np.maximum(significant, point))
+    dot = ((significant > point) & (point > 0)) * np.uint8(ord("."))
+    body = shown[1:] * (column < point) + shown[:-1] * (column > point) + (column == point) * dot
+    parts = [body]
+    if np.any(x < 0):
+        parts.insert(0, (x < 0)[None, :] * np.uint8(ord("-")))
+    lead = np.where(fixed & (X < 0), 1 - X, 0)
+    if lead.any():
+        width = int(lead.max())
+        used = np.arange(width)[:, None] < lead
+        parts.insert(-1, used * np.frombuffer(b"0.000"[:width], dtype=np.uint8)[:, None])
+    if not fixed.all():
+        exponent = np.empty((5, m), dtype=np.uint8)
+        exponent[0] = ord("e")
+        exponent[1] = np.where(X < 0, ord("-"), ord("+"))
+        exponent[2:] = _digits(np.abs(X), 3) + 48
+        exponent[2] *= np.abs(X) >= 100
+        parts.append(exponent * ~fixed)
+    tokens = np.concatenate(parts)
+    slow = np.flatnonzero(~ok)
+    if slow.size:
+        text = _text_tokens([format_float(v) for v in x[slow].tolist()])
+        if len(text) > len(tokens):
+            tokens = np.pad(tokens, ((0, len(text) - len(tokens)), (0, 0)))
+        tokens[:, slow] = 0
+        tokens[: len(text), slow] = text
+    return tokens
+
+
+def _int_tokens(v: np.ndarray) -> np.ndarray:
+    """``'%d' % i`` for each i of the integer array v, as a NUL-padded
+    (width, m) uint8 array with one field per column."""
+    a = v.astype(np.uint64)
+    a = np.where(v < 0, 0 - a, a)  # |i|, with wraparound for the most negative int64
+    width = len(str(int(a.max())))
+    tokens = _digits(a, width) + np.uint8(48)
+    # leading zeros are dropped
+    tokens[:-1] *= a >= (10 ** np.arange(width - 1, 0, -1, dtype=np.uint64))[:, None]
+    if np.any(v < 0):
+        tokens = np.concatenate([(v < 0)[None, :] * np.uint8(ord("-")), tokens])
+    return tokens
 
 
 def read_matrix_csv(path) -> np.ndarray:

@@ -244,6 +244,12 @@ def convergence_report(
     n_grid, seeds = list(n_grid), list(seeds)
     if not n_grid or not seeds:
         raise InvalidParameter("n_grid is empty" if not n_grid else "seeds is empty")
+    bad = [n for n in n_grid if not n >= 2]
+    if bad:
+        raise InvalidParameter(f"every n must be >= 2, got {bad[0]}")
+    bad = [s for s in seeds if not (isinstance(s, (int, np.integer)) and s >= 0)]
+    if bad:
+        raise InvalidParameter(f"every seed must be a non-negative integer, got {bad[0]!r}")
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise InvalidParameter("n_grid must be strictly increasing")
     limit_un, limit_nrw = analytic_limit(spec)

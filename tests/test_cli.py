@@ -835,6 +835,17 @@ class TestCheckLimits:
         assert_one_error_line(capsys, "InvalidParameter")
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value", [("--n-grid", "0"), ("--n-grid", "1,40"), ("--seeds", "-1")])
+    def test_out_of_range_list_exit_code_1(self, tmp_path, capsys, flag, value):
+        # --n-grid 0 ended in a ZeroDivisionError traceback, --seeds -1 in a ValueError one
+        out = tmp_path / "limits.csv"
+        args = {"--n-grid": "20,40", "--seeds": "0,1"}
+        args[flag] = value
+        code = main(["check", "limits", *[t for kv in args.items() for t in kv], "--out", str(out)])
+        assert code == 1
+        assert_one_error_line(capsys, "InvalidParameter")
+        assert not out.exists()
+
     def test_stdout_matches_file(self, tmp_path, capsys):
         args = ["check", "limits", "--n-grid", "20,40", "--seeds", "5,6"]
         out = tmp_path / "limits.csv"

@@ -17,7 +17,7 @@ from fairsmooth.errors import (
     ParseError,
     SelfLoop,
 )
-from fairsmooth.graph import WEIGHT_FLOOR, SimilarityGraph
+from fairsmooth.graph import MAX_NODES, WEIGHT_FLOOR, SimilarityGraph
 from fairsmooth.metric import pairwise_fair_distances
 
 EUCLID = FairMetricSpec("euclidean")
@@ -183,6 +183,20 @@ class TestCanonicalForm:
         for a, dtype in ((g.rows, np.int64), (g.cols, np.int64), (g.weights, np.float64)):
             assert a.dtype == dtype and a.flags.c_contiguous and not a.flags.writeable
 
+    def test_matches_lexsort_reference(self):
+        rng = np.random.default_rng(12)
+        rows, cols = rng.integers(0, 30, 2000), rng.integers(0, 30, 2000)
+        keep = rows != cols
+        rows, cols, weights = rows[keep], cols[keep], rng.exponential(size=keep.sum())
+        g = SimilarityGraph(n=30, rows=rows, cols=cols, weights=weights)
+        # reference: a stable lexicographic sort, then the copies of a pair summed in input order
+        lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
+        order = np.lexsort((hi, lo))
+        lo, hi, w = lo[order], hi[order], weights[order]
+        first = np.flatnonzero(np.r_[True, (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])])
+        assert np.array_equal(g.rows, lo[first]) and np.array_equal(g.cols, hi[first])
+        assert g.weights.tobytes() == np.add.reduceat(w, first).tobytes()
+
     def test_canonical_arrays_kept_without_a_copy(self):
         rows, cols, weights = np.array([0, 0, 2]), np.array([1, 3, 3]), np.array([0.5, 0.0, 1.0])
         g = SimilarityGraph(n=4, rows=rows, cols=cols, weights=weights)
@@ -228,6 +242,13 @@ class TestCanonicalForm:
         with pytest.raises(InvalidParameter, match="^n must be >= 0, got -1$"):
             SimilarityGraph(n=-1, rows=[], cols=[], weights=[])
         assert SimilarityGraph(n=0, rows=[], cols=[], weights=[]).n == 0
+
+    def test_n_whose_sort_key_overflows_rejected(self):
+        # rows * n + cols is the sort key, so n * n must fit in int64
+        with pytest.raises(InvalidParameter, match=f"^n must be <= {MAX_NODES}, got {MAX_NODES + 1}$"):
+            SimilarityGraph(n=MAX_NODES + 1, rows=[], cols=[], weights=[])
+        g = SimilarityGraph(n=MAX_NODES, rows=[MAX_NODES - 1, 0], cols=[MAX_NODES - 2, 1], weights=[1.0, 2.0])
+        assert g.edges == [(0, 1, 2.0), (MAX_NODES - 2, MAX_NODES - 1, 1.0)]
 
     @pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf, -0.5])
     def test_bad_weight_rejected(self, weight):
@@ -392,7 +413,7 @@ class TestEdgeListIO:
         def no_sort(*args, **kwargs):
             raise AssertionError("edges already in order were sorted")
 
-        monkeypatch.setattr(np, "lexsort", no_sort)
+        monkeypatch.setattr(np, "argsort", no_sort)
         g2 = read_edge_list(path)
         assert g2.n == g.n and g2.num_edges > 100
         for ours, ref in ((g2.rows, g.rows), (g2.cols, g.cols), (g2.weights, g.weights)):

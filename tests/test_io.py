@@ -1,4 +1,6 @@
 import warnings
+from decimal import Decimal
+from io import StringIO
 
 import numpy as np
 import pytest
@@ -261,3 +263,101 @@ class TestWriteMatrixCsv:
         path = tmp_path / "v.csv"
         write_matrix_csv(path, np.array([0.1, 2.0]), header=False)
         assert path.read_text() == "0.10000000000000001\n2\n"
+
+
+def _ties(rng, count):
+    """Doubles whose exact decimal expansion has 18 significant digits ending
+    in 5: odd / 2**j in [10**(17 - j), 10**(18 - j)), halfway between two
+    17-digit decimals."""
+    ties = []
+    for j in range(2, 25):
+        lo, hi = 10.0 ** (17 - j), min(10.0 ** (18 - j), 2.0 ** (53 - j))
+        a, b = int(lo * 2**j) // 2 + 1, int(hi * 2**j) // 2 - 1
+        if b > a:
+            ties.append((rng.integers(a, b, count) * 2 + 1) / 2.0**j)
+    return np.concatenate(ties)
+
+
+def _midpoint_tokens(rng, count):
+    """The midpoints between random adjacent doubles, cut to 16, 17 and 18 digits."""
+    x = np.exp(rng.uniform(-500, 500, count))
+    tokens = []
+    for a, b in zip(x.tolist(), np.nextafter(x, np.inf).tolist()):
+        middle = (Decimal(a) + Decimal(b)) / 2
+        tokens += [format(middle, f".{digits - 1}e") for digits in (16, 17, 18)]
+    return tokens
+
+
+def _written(*columns, row_format=None):
+    buffer = StringIO()
+    io.write_rows(buffer, row_format or ",".join([io.FLOAT_FMT] * len(columns)) + "\n", *columns)
+    return buffer.getvalue()
+
+
+def _read_floats(path, texts):
+    path.write_text("".join(f"{k}\t{text}\n" for k, text in enumerate(texts)))
+    return read_table(path, (np.int64, float), delimiter="\t")[0][1]
+
+
+class TestFloatText:
+    """Floats are written as '%.17g' writes them and read as float() reads them."""
+
+    def test_powers_of_ten_and_neighbours(self):
+        p = 10.0 ** np.arange(-323, 309)
+        x = np.concatenate([p, np.nextafter(p, 0), np.nextafter(p, np.inf), -p, [1e16, 1e17, 1e-5, 0.1]])
+        assert _written(x) == "".join(f"{v:.17g}\n" for v in x)
+
+    def test_seventeen_digit_ties_round_half_even(self):
+        x = _ties(np.random.default_rng(13), 200)
+        assert all(len(Decimal(v).as_tuple().digits) == 18 for v in x[::50].tolist())
+        x = np.concatenate([x, -x])
+        assert _written(x) == "".join(f"{v:.17g}\n" for v in x)
+
+    def test_gaussian_weights_need_no_per_value_formatting(self, monkeypatch):
+        # the bulk formatter certifies these; a silent fallback would be slow
+        calls = []
+        monkeypatch.setattr(io, "format_float", lambda v: calls.append(v) or io.FLOAT_FMT % v)
+        w = np.exp(-np.random.default_rng(14).uniform(0.0, 30.0, 10_000) ** 2 / 9)
+        assert _written(w) == "".join(f"{v:.17g}\n" for v in w)
+        assert calls == []
+
+    def test_mixed_row_format(self):
+        rng = np.random.default_rng(15)
+        ints, words, x = rng.integers(-(10**12), 10**12, 50), ["a", "é", "g,h"] * 16 + ["", "z"], rng.normal(size=50)
+        ints[:3] = [0, -1, 9]
+        row_format = "%d|%s|%%|%.17g\n"
+        expected = "".join(row_format % row for row in zip(ints.tolist(), words, x.tolist()))
+        assert _written(ints, words, x, row_format=row_format) == expected
+
+    def test_reads_match_float(self, tmp_path):
+        rng = np.random.default_rng(16)
+        x = np.concatenate([rng.normal(size=2000), np.exp(rng.uniform(-700, 700, 2000)), _ties(rng, 20)])
+        texts = [fmt % v for fmt in ("%.17g", "%.16g", "%r") for v in x.tolist()]
+        texts += _midpoint_tokens(rng, 1000) + ["0", "-0", "9007199254740993", "5e-324", "1.7976931348623157e+308"]
+        got = _read_floats(tmp_path / "t.tsv", texts)
+        expected = np.array([float(t) for t in texts])
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("text", [".5", "5.", "+1", "1E5", " 1.5", "inf", "-nan", "1e5", "00012.5"])
+    def test_other_float_syntax_accepted(self, tmp_path, text):
+        got = _read_floats(tmp_path / "t.tsv", ["0.25", text])
+        assert got.tobytes() == np.array([0.25, float(text)]).tobytes()
+
+    def test_long_token_read_exactly(self, tmp_path):
+        text = "0.1000000000000000055511151231257827021181583404541015625"[:40]
+        assert _read_floats(tmp_path / "t.tsv", [text, "1"]).tolist() == [float(text), 1.0]
+
+    @pytest.mark.parametrize("text", ["1_0", "0x10", ""])
+    def test_rejected_text_fails_as_before(self, tmp_path, text):
+        # '1_0' parses in Python but not in np.loadtxt, whose error is passed on
+        path = tmp_path / "t.tsv"
+        path.write_text(f"0\t0.5\t1\n1\t{text}\t0.5\n")
+        dtypes = (np.int64, float, float)
+        with pytest.raises(ValueError) as numpy_error:
+            np.loadtxt(path, dtype=[(f"c{k}", t) for k, t in enumerate(dtypes)], delimiter="\t", ndmin=1)
+        with pytest.raises(ParseError) as error:
+            read_table(path, dtypes, delimiter="\t")
+        if text == "1_0":
+            assert str(error.value) == f"{path}: {numpy_error.value}"
+        else:
+            assert str(error.value) == f"{path}:2: could not parse {f'1{chr(9)}{text}{chr(9)}0.5'!r}"
