@@ -21,6 +21,7 @@ from . import evalmetrics, graph, io, laplacian, metric, smoother, synthcheck
 from .errors import (
     FairSmoothError,
     InvalidParameter,
+    NotConverged,
     NumericalError,
     ParseError,
     RowCountMismatch,
@@ -164,6 +165,13 @@ def cmd_smooth(args) -> None:
         raise RowCountMismatch(f"graph has n={g.n}, outputs have {y.shape[0]} rows")
     config = _smoothing_config(args)
     f, meta = smoother.run_smoothing(y, g, config)
+    # an uncertified result is never written
+    if not meta["converged"]:
+        steps = "epochs; raise --epochs" if meta["solver"] == "coordinate_descent" else "iterations"
+        raise NotConverged(
+            f"{meta['solver']} left residual {meta['residual']:.3g} above its bound "
+            f"{config.tolerance:.3g} * max(1, |y_k|) after {meta['iterations']} {steps}"
+        )
     io.write_matrix_csv(args.out, f)
     if args.metadata_out:
         io.write_json(args.metadata_out, meta)
@@ -237,12 +245,26 @@ def cmd_check_limits(args) -> None:
         io.write_rows(fh, ",".join(["%s", "%d"] + [io.FLOAT_FMT] * 5) + "\n", *columns)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def cmd_aggregate(args) -> None:
-    reports = [io.read_json(path) for path in args.reports]
-    keys = sorted({k for rep in reports for k in rep if isinstance(rep[k], (int, float))})
+    reports = [(path, io.read_json(path)) for path in args.reports]
+    for path, rep in reports:
+        if not isinstance(rep, dict):
+            raise ParseError(f"{path}: report must be a JSON object")
+    # a key is aggregated when it holds a number in some report, and then
+    # must hold one in every report that has it
+    keys = sorted({k for _, rep in reports for k, v in rep.items() if _is_number(v)})
     agg = {}
     for key in keys:
-        values = [rep[key] for rep in reports if key in rep]
+        values = []
+        for path, rep in reports:
+            if key in rep:
+                if not _is_number(rep[key]):
+                    raise ParseError(f"{path}: {key!r} is not a number")
+                values.append(rep[key])
         agg[key] = {
             "mean": float(np.mean(values)),
             "std": float(np.std(values)),

@@ -56,8 +56,8 @@ SIMPLEX_TOL = 1e-6
 
 # beyond this size the dense factorization is off the table: the
 # unnormalized kind is solved by conjugate gradient and the random-walk kind
-# falls back to coordinate descent
-DEFAULT_DENSE_LIMIT = 10_000
+# falls back to coordinate descent; _solve reads it at call time
+DENSE_LIMIT = 10_000
 
 # conjugate gradient raises NotConverged after this many times its textbook
 # iteration bound (see _cg_iteration_bound)
@@ -82,6 +82,11 @@ def _check_epochs(epochs) -> None:
         raise InvalidParameter("epochs must be >= 1")
 
 
+def _check_seed(seed) -> None:
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise InvalidParameter(f"seed must be an integer >= 0, got {seed!r}")
+
+
 def _check_tolerance(tolerance) -> None:
     if not tolerance > 0:
         raise InvalidParameter("tolerance must be positive")
@@ -94,9 +99,10 @@ class SmoothingConfig:
     The JSON keys are the field names, with ``lambda`` for ``lam``.
     Construction, ``dataclasses.replace`` included, checks every field's
     type and value and raises InvalidParameter.
-    ``tolerance`` bounds the certified residual, relative to
-    max(1, ||y_k||_inf), of conjugate gradient and of the ``converged`` flag,
-    and is the largest coordinate change at which coordinate descent stops.
+    ``tolerance`` bounds the certified residual
+    max |f - y + lambda sym(L) f| of every output column k, relative to
+    max(1, ||y_k||_inf), for every solver: conjugate gradient and coordinate
+    descent stop once it holds, and ``converged`` reports whether it does.
     """
 
     lam: float = 1.0
@@ -107,7 +113,6 @@ class SmoothingConfig:
     discrepancy: str = "squared"  # one of DISCREPANCIES
     nrw_lambda_scaling: bool = True
     tolerance: float = 1e-9
-    dense_limit: int = DEFAULT_DENSE_LIMIT
 
     def __post_init__(self):
         for f in fields(self):
@@ -124,13 +129,12 @@ class SmoothingConfig:
         if self.mode not in MODES:
             raise InvalidParameter(f"unknown mode {self.mode!r}")
         _check_epochs(self.epochs)
+        _check_seed(self.seed)
         if self.discrepancy not in DISCREPANCIES:
             raise InvalidParameter(f"unknown discrepancy {self.discrepancy!r}")
         if self.discrepancy == "kl" and self.laplacian_kind != UNNORMALIZED:
             raise InvalidParameter("kl discrepancy requires the unnormalized laplacian")
         _check_tolerance(self.tolerance)
-        if self.dense_limit < 0:
-            raise InvalidParameter("dense_limit must be >= 0")
 
 
 def objective(yhat: np.ndarray, L: LaplacianOperator, lam: float, f: np.ndarray) -> float:
@@ -174,6 +178,11 @@ def _cg_iteration_bound(L: LaplacianOperator, lam: float, tolerance: float) -> i
 def _column_bounds(y: np.ndarray, tolerance: float) -> np.ndarray:
     """Certified residual bound tolerance * max(1, ||y_k||_inf) per column k."""
     return tolerance * np.maximum(1.0, np.max(np.abs(y), axis=0, initial=0.0))
+
+
+def _column_residuals(y: np.ndarray, L: LaplacianOperator, lam: float, f: np.ndarray) -> np.ndarray:
+    """max |f - y + lambda sym(L) f| per column of (n, K) tables."""
+    return np.max(np.abs(f - y + lam * apply_symmetrized(L, f)), axis=0, initial=0.0)
 
 
 def smooth_conjugate_gradient(
@@ -277,14 +286,15 @@ def _pcg(y, A, diag, lam, bound, cap):
 
 def _cd_sweeps(
     y: np.ndarray,
-    S: sparse.csr_matrix,
+    L: LaplacianOperator,
     lam: float,
     epochs: int,
     seed: int,
     tolerance: float,
 ):
-    """Run Gauss-Seidel epochs; returns (f, epochs_used, last_max_change)."""
-    n = y.shape[0]
+    """Run Gauss-Seidel epochs until f meets the certificate of ``_solve``;
+    returns (f, epochs_used, last_max_change)."""
+    n, S = y.shape[0], L.symmetrized()
     diag = S.diagonal()
     denom = 1.0 + lam * diag
     if np.any(denom <= 0):
@@ -296,6 +306,7 @@ def _cd_sweeps(
     indptr, indices, data = S.indptr.tolist(), S.indices.astype(np.intp), S.data
     diag, denom = diag.tolist(), denom.tolist()
     rng = np.random.default_rng(seed)
+    bound = _column_bounds(y, tolerance)
     last_change = np.inf
     epochs_used = 0
     for epoch in range(epochs):
@@ -306,10 +317,10 @@ def _cd_sweeps(
             f[i] = (y[i] - lam * row) / denom[i]
         # every coordinate moved once, from its value at the start of the
         # epoch; fmax ignores a NaN change, so it cannot hide the others
-        max_change = np.fmax.reduce(np.abs(f - start), axis=None, initial=0.0)
+        last_change = np.fmax.reduce(np.abs(f - start), axis=None, initial=0.0)
         epochs_used = epoch + 1
-        last_change = max_change
-        if max_change < tolerance:
+        # written so that a NaN residual never passes
+        if np.all(_column_residuals(y, L, lam, f) <= bound):
             break
     return f, epochs_used, last_change
 
@@ -321,14 +332,17 @@ def smooth_coordinate_descent(
     """Coordinate-descent minimizer of the smoothing objective at ``lam``.
 
     Gauss-Seidel epochs on sym(L), each in a ``seed``-determined random order,
-    run until one moves no coordinate by ``tolerance`` or ``epochs`` have run;
-    ``return_info`` adds ``epochs_used`` and ``last_max_change``.
+    run until the residual max |f - yhat + lambda sym(L) f| of every column k
+    is at most ``tolerance`` * max(1, ||yhat_k||_inf), or ``epochs`` have run;
+    ``return_info`` adds ``epochs_used`` and ``last_max_change``, the largest
+    coordinate change of the last epoch.
     """
     _check_lambda(lam)
     _check_epochs(epochs)
+    _check_seed(seed)
     _check_tolerance(tolerance)
     y = check_outputs(yhat, L.n)
-    f, epochs_used, last_change = _cd_sweeps(y, L.symmetrized(), lam, epochs, seed, tolerance)
+    f, epochs_used, last_change = _cd_sweeps(y, L, lam, epochs, seed, tolerance)
     out = restore_shape(f, yhat)
     if return_info:
         return out, {"epochs_used": epochs_used, "last_max_change": float(last_change)}
@@ -458,20 +472,14 @@ def kl_coordinate_update(
     """Exact minimizer of one per-coordinate KL smoothing problem.
 
     Minimizes KL(P_y || P_target) + (lambda/2) * sum_j w_j KL(P_y || P_j)
-    over the simplex.  In natural parameters this is a weighted mean, then
-    mapped back through the softmax.
+    over the simplex.  In natural parameters this is the inductive update
+    at lambda/2 with the neighbours held fixed, mapped back through the
+    softmax.
     """
     _check_lambda(lam)
     eta_hat = to_natural_params(np.asarray(p_target, dtype=float))
-    etas = to_natural_params(np.asarray(neighbor_probs, dtype=float))
-    w = np.asarray(weights, dtype=float)
-    if etas.ndim == 1:
-        etas = etas[None, :]
-    if w.shape[0] != etas.shape[0]:
-        raise DimensionMismatch("one weight per neighbor row required")
-    half = 0.5 * lam
-    eta = (eta_hat + half * (w @ etas)) / (1.0 + half * w.sum())
-    return from_natural_params(eta)
+    etas = to_natural_params(np.atleast_2d(neighbor_probs))
+    return from_natural_params(inductive_update(etas, weights, eta_hat, lam / 2))
 
 
 # -- high-level driver ------------------------------------------------------
@@ -486,16 +494,18 @@ def run_smoothing(yhat: np.ndarray, g: SimilarityGraph, config: SmoothingConfig)
     runs the same quadratic solve on natural parameters.
 
     ``mode="closed_form"`` solves exactly.  The unnormalized kind uses the
-    dense Cholesky factorization only when n <= ``dense_limit`` and its
+    dense Cholesky factorization only when n <= ``DENSE_LIMIT`` and its
     n^3/3 + 2 n^2 K flops are at most the conjugate-gradient bound
     it * (2 nnz(L) + 10 n) * K (``it`` from ``_cg_iteration_bound``), and
     certified conjugate gradient otherwise.  The random-walk kind uses the
-    Cholesky factorization up to ``dense_limit`` and falls back to
+    Cholesky factorization up to ``DENSE_LIMIT`` and falls back to
     coordinate descent above it, noted as ``fallback_to_cd``; an indefinite
     I + lambda * sym(L) raises NotPositiveDefinite.  The metadata names the
     ``solver`` that ran, its ``iterations`` (CG iterations, CD epochs, 0 for
     Cholesky), the ``residual`` max |f - y + lambda sym(L) f| and whether
     it ``converged``: |r_k| <= tolerance * max(1, |y_k|) in every column k.
+    A result that did not converge is returned, flagged; conjugate gradient
+    raises NotConverged instead.
     """
     L = make_laplacian(g, config.laplacian_kind)
     lam = config.lam
@@ -526,13 +536,13 @@ def _solve(y, L, lam, config):
         it = _cg_iteration_bound(L, lam, config.tolerance)
         cholesky_flops = n**3 / 3 + 2 * n * n * k
         cg_flops = it * (2 * L.matrix.nnz + 10 * n) * k
-        solver = "cholesky" if n <= config.dense_limit and cholesky_flops <= cg_flops else "cg"
+        solver = "cholesky" if n <= DENSE_LIMIT and cholesky_flops <= cg_flops else "cg"
     else:
-        solver = "cholesky" if n <= config.dense_limit else "coordinate_descent"
+        solver = "cholesky" if n <= DENSE_LIMIT else "coordinate_descent"
     fallback = solver == "coordinate_descent" and config.mode == "closed_form"
     info = {"solver": solver, "fallback_to_cd": fallback, "iterations": 0}
     if fallback:
-        info["fallback_reason"] = f"n={n} exceeds dense limit {config.dense_limit}"
+        info["fallback_reason"] = f"n={n} exceeds dense limit {DENSE_LIMIT}"
     if solver == "cg":
         f, cg = smooth_conjugate_gradient(y, L, lam, config.tolerance, return_info=True)
         # CG certified f by its recomputed residual, which is -r bit for bit
@@ -543,8 +553,8 @@ def _solve(y, L, lam, config):
         f, cd = smooth_coordinate_descent(
             y, L, lam, epochs=config.epochs, seed=config.seed, tolerance=config.tolerance, return_info=True
         )
-        info.update(iterations=cd["epochs_used"], last_max_change=cd["last_max_change"])
-    r = np.max(np.abs(f - y + lam * apply_symmetrized(L, f)), axis=0, initial=0.0)
+        info["iterations"] = cd["epochs_used"]
+    r = _column_residuals(y, L, lam, f)
     info["residual"] = float(np.max(r, initial=0.0))
     info["converged"] = bool(np.all(r <= _column_bounds(y, config.tolerance)))
     return f, info

@@ -35,13 +35,14 @@ def test_benchmark_selfcheck_passes(tmp_path):
 
 def test_traced_coordinate_descent_fills_its_counters(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(smoother, "DENSE_LIMIT", 2)
     tracing = importlib.import_module("tracing")
     n = 6
     g = graph_from_annotations([(i, i + 1) for i in range(n - 1)], n=n)
     y = np.linspace(-1.0, 1.0, n)
     configs = [
         # the random-walk kind above its dense limit falls back to CD
-        SmoothingConfig(laplacian_kind=NORMALIZED_RW, dense_limit=2, epochs=40, tolerance=1e-12),
+        SmoothingConfig(laplacian_kind=NORMALIZED_RW, epochs=40, tolerance=1e-12),
         SmoothingConfig(mode="coordinate_descent", epochs=40, tolerance=1e-12),
     ]
     tracer = tracing.Tracer()

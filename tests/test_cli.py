@@ -1,6 +1,8 @@
 import argparse
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,8 @@ from fairsmooth import smoother
 from fairsmooth.cli import _build_parser, main
 from fairsmooth.io import read_matrix_csv, write_matrix_csv
 from fairsmooth.smoother import SmoothingConfig
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def write_metric(tmp_path, spec=None):
@@ -264,7 +268,6 @@ NON_DEFAULT = {
     "discrepancy": "kl",
     "nrw_lambda_scaling": False,
     "tolerance": 1e-6,
-    "dense_limit": 50,
 }
 
 # (flag arguments, field, value): each flag set against a config file
@@ -336,6 +339,48 @@ def test_smooth_indefinite_system_exit_code_2(tmp_path, capsys):
     assert not out.exists()
 
 
+class TestUncertifiedResult:
+    """``smooth`` writes nothing when the result is not certified."""
+
+    def call(self, tmp_path, flags):
+        rng = np.random.default_rng(41)
+        graph = build_graph(tmp_path, rng.normal(size=(12, 2)))
+        self.out, self.meta = tmp_path / "smoothed.csv", tmp_path / "meta.json"
+        return main(["smooth", "--graph", graph, "--outputs", write_outputs(tmp_path, rng.normal(size=12)),
+                     "--out", str(self.out), "--metadata-out", str(self.meta), *flags])
+
+    @pytest.mark.parametrize(
+        "flags, solver",
+        [
+            # ten epochs of the random-walk fallback stop short of the bound
+            (["--laplacian", "normalized_random_walk"], "coordinate_descent"),
+            (["--tolerance", "1e-300"], "cholesky"),
+        ],
+    )
+    def test_exit_code_2(self, tmp_path, capsys, monkeypatch, flags, solver):
+        # both used to write the flagged output and exit 0
+        if solver == "coordinate_descent":
+            monkeypatch.setattr(smoother, "DENSE_LIMIT", 2)
+        assert self.call(tmp_path, flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"error: NotConverged: {solver} left residual ")
+        assert line.endswith("epochs; raise --epochs" if solver == "coordinate_descent" else " iterations")
+        assert not self.out.exists() and not self.meta.exists()
+
+    def test_enough_epochs_certify_the_random_walk_kind(self, tmp_path, monkeypatch):
+        # coordinate descent by mode is the certified path above the dense limit
+        monkeypatch.setattr(smoother, "DENSE_LIMIT", 2)
+        flags = ["--laplacian", "normalized_random_walk", "--mode", "coordinate_descent", "--epochs", "10000"]
+        assert self.call(tmp_path, flags) == 0
+        meta = json.loads(self.meta.read_text())
+        assert (meta["solver"], meta["converged"], meta["fallback_to_cd"]) == ("coordinate_descent", True, False)
+        assert 10 < meta["iterations"] < 10_000
+        assert "last_max_change" not in meta
+        assert self.out.exists()
+
+
 class TestSmoothConfig:
     @pytest.fixture
     def run(self, tmp_path, monkeypatch):
@@ -347,7 +392,7 @@ class TestSmoothConfig:
 
         def fake_run_smoothing(y, g, config):
             seen.append(config)
-            return y, {}
+            return y, {"converged": True}
 
         monkeypatch.setattr(smoother, "run_smoothing", fake_run_smoothing)
 
@@ -382,7 +427,8 @@ class TestSmoothConfig:
         assert code == 0
         assert config == SmoothingConfig(**{name: value})
 
-    @pytest.mark.parametrize("key", ["lam", "laplacian", "no_such_field", "batch_size"])
+    # batch_size and dense_limit were fields once
+    @pytest.mark.parametrize("key", ["lam", "laplacian", "no_such_field", "batch_size", "dense_limit"])
     def test_unknown_key_rejected(self, run, capsys, key):
         code, config = run({key: 1.0})
         assert code == 1 and config is None
@@ -401,7 +447,7 @@ class TestSmoothConfig:
             {"lambda": True},
             {"epochs": "3"},
             {"tolerance": None},
-            {"dense_limit": "x"},
+            {"laplacian_kind": 1},
             {"mode": "coordinate_descent", "seed": 1.5},
         ],
     )
@@ -410,9 +456,11 @@ class TestSmoothConfig:
         assert code == 1 and config is None
         assert_one_error_line(capsys, "InvalidParameter")
 
-    def test_negative_dense_limit_rejected(self, run, capsys):
-        code, config = run({"dense_limit": -5})
-        assert code == 1 and config is None
+    @pytest.mark.parametrize("config, flags", [({"seed": -1}, []), (NO_CONFIG, ["--seed", "-1"])])
+    def test_negative_seed_rejected(self, run, capsys, config, flags):
+        # used to end in numpy's ValueError traceback from default_rng
+        code, used = run(config, ["--mode", "coordinate_descent", *flags])
+        assert code == 1 and used is None
         assert_one_error_line(capsys, "InvalidParameter")
 
     @pytest.mark.parametrize("lam", ["nan", "inf"])
@@ -430,6 +478,13 @@ class TestSmoothConfig:
         dests = {a.dest for a in subparsers.choices["smooth"]._actions} - files
         assert dests <= {f.name for f in dataclasses.fields(SmoothingConfig)}
         assert dests == {name for _, name, _ in FLAG_OVERRIDES}
+
+    def test_readme_lists_every_config_key(self):
+        # README's sentence on the config file names exactly the JSON keys
+        text = " ".join(README.read_text(encoding="utf-8").split())
+        sentence = re.search(r"with `lambda` for `lam`: (.*?)\. ", text).group(1)
+        keys = re.findall(r"`(\w+)`", sentence)
+        assert keys == [json_key(f.name) for f in dataclasses.fields(SmoothingConfig)]
 
 
 class TestInductive:
@@ -868,3 +923,48 @@ class TestAggregate:
         assert agg["accuracy"]["std"] == pytest.approx(0.1)
         assert agg["accuracy"]["count"] == 2
         assert agg["prediction_consistency"]["std"] == 0.0
+
+    def aggregate(self, tmp_path, *reports):
+        paths = []
+        for k, report in enumerate(reports):
+            path = tmp_path / f"r{k}.json"
+            path.write_text(json.dumps(report))
+            paths.append(str(path))
+        out = tmp_path / "agg.json"
+        return main(["aggregate", *paths, "--out", str(out)]), out
+
+    def test_report_not_an_object_rejected(self, tmp_path, capsys):
+        # a JSON array used to end in an IndexError traceback
+        code, out = self.aggregate(tmp_path, {"accuracy": 0.8}, [0.8, 0.6])
+        assert code == 1
+        assert not out.exists()
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ParseError: ") and "r1.json" in line
+
+    def test_number_and_string_under_one_key_rejected(self, tmp_path, capsys):
+        # used to end in a TypeError traceback from np.mean
+        code, out = self.aggregate(tmp_path, {"accuracy": 0.8}, {"accuracy": "0.6"})
+        assert code == 1
+        assert not out.exists()
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ParseError: ") and "r1.json" in line and "'accuracy'" in line
+
+    def test_booleans_are_not_numbers(self, tmp_path, capsys):
+        # true was averaged as 1
+        code, out = self.aggregate(tmp_path, {"accuracy": 0.8}, {"accuracy": True})
+        assert code == 1
+        assert_one_error_line(capsys, "ParseError")
+        code, out = self.aggregate(tmp_path, {"accuracy": 0.8, "ok": True}, {"accuracy": 0.6, "ok": False})
+        assert code == 0
+        assert sorted(json.loads(out.read_text())) == ["accuracy"]
+
+    def test_keys_that_are_never_numbers_skipped(self, tmp_path):
+        histogram = {"edges": [0.0, 1.0], "counts": [2]}
+        code, out = self.aggregate(
+            tmp_path,
+            {"accuracy": 0.8, "violation_histogram": histogram},
+            {"accuracy": 0.6, "violation_histogram": histogram, "note": "x"},
+        )
+        assert code == 0
+        agg = json.loads(out.read_text())
+        assert sorted(agg) == ["accuracy"] and agg["accuracy"]["count"] == 2

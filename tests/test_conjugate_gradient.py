@@ -16,6 +16,7 @@ from fairsmooth import (
     build_similarity_graph,
     run_smoothing,
     smooth_conjugate_gradient,
+    smoother,
     to_natural_params,
 )
 from fairsmooth.cli import main
@@ -172,16 +173,16 @@ class TestDispatch:
         assert meta["residual"] == float(np.max(np.abs(f - y + L.matrix @ f)))
 
 
-def test_cli_tiny_tolerance_exit_code_2(tmp_path, capsys):
+def test_cli_tiny_tolerance_exit_code_2(tmp_path, capsys, monkeypatch):
+    # a dense limit of 0 forces conjugate gradient, which raises itself
+    monkeypatch.setattr(smoother, "DENSE_LIMIT", 0)
     g = kdtree_graph(40, seed=9, box=2.0, dim=2)
     graph = tmp_path / "graph.tsv"
     write_edge_list(g, graph)
     outputs = tmp_path / "outputs.csv"
     write_matrix_csv(outputs, np.random.default_rng(9).normal(size=(40, 1)))
-    config = tmp_path / "config.json"
-    config.write_text('{"dense_limit": 0}')
     out = tmp_path / "smoothed.csv"
-    code = main(["smooth", "--graph", str(graph), "--outputs", str(outputs), "--config", str(config),
+    code = main(["smooth", "--graph", str(graph), "--outputs", str(outputs),
                  "--tolerance", "1e-300", "--out", str(out)])
     assert code == 2
     err = capsys.readouterr().err.splitlines()

@@ -1,3 +1,4 @@
+import dataclasses
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +20,7 @@ from fairsmooth import (
     smooth_conjugate_gradient,
     smooth_coordinate_descent,
     smooth_kl,
+    smoother,
     to_natural_params,
 )
 from fairsmooth.errors import (
@@ -108,12 +110,41 @@ class TestCoordinateDescent:
         assert np.max(np.abs(f_cd - f_cf)) < 1e-6
 
     def test_early_stop_reports_epochs(self):
+        # the sweeps stop after the first epoch whose residual meets the bound
         rng = np.random.default_rng(23)
         g, y = random_instance(rng, 10, 1)
         L = make_laplacian(g, UNNORMALIZED)
         f, info = smooth_coordinate_descent(y, L, 0.5, epochs=500, seed=0, tolerance=1e-10, return_info=True)
-        assert info["epochs_used"] < 500
-        assert info["last_max_change"] < 1e-10
+        used = info["epochs_used"]
+        assert 1 < used < 500
+
+        def residual(f):
+            return np.max(np.abs(f - y + 0.5 * (L.matrix @ f)))
+
+        bound = 1e-10 * max(1.0, np.max(np.abs(y)))
+        assert residual(f) <= bound
+        before = smooth_coordinate_descent(y, L, 0.5, epochs=used - 1, seed=0, tolerance=1e-10)
+        assert residual(before) > bound
+        ref = reference_cd_sweeps(y[:, None], L.symmetrized(), 0.5, 500, 0, 1e-10)
+        assert f.tobytes() == ref[0][:, 0].tobytes()
+        assert (used, info["last_max_change"]) == ref[1:]
+
+    @pytest.mark.parametrize("kind", [UNNORMALIZED, NORMALIZED_RW])
+    @pytest.mark.parametrize("tolerance", [1e-9, 1e-12])
+    def test_certified_given_enough_epochs(self, kind, tolerance):
+        # the sweeps used to stop on the largest coordinate change, which
+        # is several times smaller than the residual, so this run reported
+        # converged: False however many epochs it was given
+        rng = np.random.default_rng(0)
+        g = build_similarity_graph(rng.normal(size=(30, 2)), EUCLID, theta=0.5, tau=1.5)
+        y = rng.normal(size=30)
+        config = SmoothingConfig(
+            lam=0.8, laplacian_kind=kind, mode="coordinate_descent", epochs=100_000, tolerance=tolerance
+        )
+        _, meta = run_smoothing(y, g, config)
+        assert meta["converged"] is True
+        assert meta["iterations"] < 200
+        assert meta["residual"] <= tolerance * max(1.0, np.max(np.abs(y)))
 
     def test_monotone_objective_across_epochs(self):
         rng = np.random.default_rng(24)
@@ -144,6 +175,8 @@ class TestCoordinateDescent:
             ({"epochs": 0}, "epochs must be >= 1"),
             ({"tolerance": 0.0}, "tolerance must be positive"),
             ({"tolerance": np.nan}, "tolerance must be positive"),
+            ({"seed": -1}, "seed must be an integer >= 0"),
+            ({"seed": 1.5}, "seed must be an integer >= 0"),
         ],
     )
     def test_numbers_checked_as_in_config(self, options, message):
@@ -157,21 +190,26 @@ class TestCoordinateDescent:
         rng = np.random.default_rng(26)
         g, y = random_instance(rng, 40, k, theta=2.0)
         y = y.reshape(40, k)
-        S = make_laplacian(g, kind).symmetrized()
+        L = make_laplacian(g, kind)
         # four full epochs, then a run that stops early at its tolerance
         for epochs, tolerance in ((4, 1e-30), (500, 1e-7)):
-            ours = _cd_sweeps(y, S, 3.0, epochs, 11, tolerance)
-            ref = reference_cd_sweeps(y, S, 3.0, epochs, 11, tolerance)
+            ours = _cd_sweeps(y, L, 3.0, epochs, 11, tolerance)
+            ref = reference_cd_sweeps(y, L.symmetrized(), 3.0, epochs, 11, tolerance)
             assert ours[0].tobytes() == ref[0].tobytes()
             assert ours[1:] == ref[1:]
         assert ours[1] < 500
 
 
 def reference_cd_sweeps(y, S, lam, epochs, seed, tolerance):
-    """The Gauss-Seidel loop of ``_cd_sweeps`` with numpy scalars throughout."""
+    """The Gauss-Seidel loop of ``_cd_sweeps`` with numpy scalars throughout.
+
+    It stops after the first epoch whose residual |f - y + lam S f| is at
+    most tolerance * max(1, |y_k|) in every column k.
+    """
     n = y.shape[0]
     diag = S.diagonal()
     denom = 1.0 + lam * diag
+    bound = tolerance * np.maximum(1.0, np.max(np.abs(y), axis=0))
     f = y.copy()
     indptr, indices, data = S.indptr, S.indices, S.data
     rng = np.random.default_rng(seed)
@@ -191,7 +229,8 @@ def reference_cd_sweeps(y, S, lam, epochs, seed, tolerance):
             f[i] = new
         epochs_used = epoch + 1
         last_change = max_change
-        if max_change < tolerance:
+        residual = np.max(np.abs(f - y + lam * (S @ f)), axis=0)
+        if np.all(residual <= bound):
             break
     return f, epochs_used, last_change
 
@@ -233,7 +272,7 @@ class TestConfigTypes:
             {"seed": 1.5},
             {"seed": False},
             {"tolerance": None},
-            {"dense_limit": "x"},
+            {"laplacian_kind": 1},
             {"mode": 1},
             {"nrw_lambda_scaling": 0},
         ],
@@ -252,12 +291,11 @@ class TestConfigTypes:
     def test_integer_lambda_accepted(self):
         assert SmoothingConfig(lam=2).lam == 2
 
-    def test_negative_dense_limit_rejected(self):
-        with pytest.raises(InvalidParameter, match="dense_limit"):
-            SmoothingConfig(dense_limit=-5)
-
-    def test_zero_dense_limit_accepted(self):
-        assert SmoothingConfig(dense_limit=0).dense_limit == 0
+    def test_dense_limit_is_not_a_field(self):
+        # the dense limit is the module constant DENSE_LIMIT
+        assert len(dataclasses.fields(SmoothingConfig)) == 8
+        with pytest.raises(TypeError):
+            SmoothingConfig(dense_limit=0)
 
 
 # one bad value per check of SmoothingConfig, with the message it raises
@@ -271,7 +309,7 @@ BAD_CONFIG_VALUES = [
     ({"discrepancy": "kl", "laplacian_kind": NORMALIZED_RW}, "kl discrepancy requires"),
     ({"tolerance": 0.0}, "tolerance must be positive"),
     ({"tolerance": np.nan}, "tolerance must be positive"),
-    ({"dense_limit": -1}, "dense_limit must be >= 0"),
+    ({"seed": -1}, "seed must be an integer >= 0"),
     ({"epochs": 2.0}, "epochs must be of type int"),
 ]
 
@@ -505,6 +543,28 @@ class TestKLCoordinateUpdate:
         out = kl_coordinate_update(p, np.array([[0.2, 0.3, 0.5]]), np.array([1.0]), 0.0)
         assert np.max(np.abs(out - p)) < 1e-9
 
+    def test_weighted_mean_of_natural_params(self):
+        # the closed form the function spelled out before it called
+        # inductive_update at lambda / 2, bit for bit
+        rng = np.random.default_rng(39)
+        for _ in range(400):
+            k, m = int(rng.integers(2, 6)), int(rng.integers(1, 8))
+            lam = float(rng.choice([0.0, 1e-3, 0.5, 1.0, 7.0, 1e6]))
+            p = rng.dirichlet(np.ones(k))
+            neighbors = rng.dirichlet(np.ones(k), size=m)
+            if m == 1 and rng.integers(2):
+                neighbors = neighbors[0]  # a single neighbour as a 1-D row
+            w = rng.uniform(0.0, 2.0, size=m)
+            eta_hat, etas = to_natural_params(p), np.atleast_2d(to_natural_params(neighbors))
+            half = 0.5 * lam
+            expected = from_natural_params((eta_hat + half * (w @ etas)) / (1.0 + half * w.sum()))
+            assert kl_coordinate_update(p, neighbors, w, lam).tobytes() == expected.tobytes()
+
+    def test_one_weight_per_neighbor(self):
+        p = np.array([0.6, 0.3, 0.1])
+        with pytest.raises(DimensionMismatch):
+            kl_coordinate_update(p, np.array([[0.2, 0.3, 0.5]]), np.array([1.0, 2.0]), 1.0)
+
 
 def bregman_gd_minimizer(points, weights, steps=20000, lr=0.05):
     """Gradient descent on u = log y for sum_j w_j D_F(z_j, y),
@@ -567,17 +627,20 @@ class TestRunSmoothing:
         with pytest.raises(NotPositiveDefinite):
             run_smoothing(rng.normal(size=10), g, config)
 
-    def test_dense_limit_forces_cd(self):
+    def test_dense_limit_forces_cd(self, monkeypatch):
         # only the random-walk kind falls back to coordinate descent
+        monkeypatch.setattr(smoother, "DENSE_LIMIT", 2)
         g = graph_from_annotations([(0, 1), (1, 2)], n=3)
-        config = SmoothingConfig(lam=1.0, laplacian_kind=NORMALIZED_RW, dense_limit=2)
+        config = SmoothingConfig(lam=1.0, laplacian_kind=NORMALIZED_RW)
         _, meta = run_smoothing(np.array([0.0, 1.0, 2.0]), g, config)
         assert meta["fallback_to_cd"] is True
         assert meta["solver"] == "coordinate_descent"
+        assert meta["fallback_reason"] == "n=3 exceeds dense limit 2"
 
-    def test_dense_limit_selects_cg_for_unnormalized(self):
+    def test_dense_limit_selects_cg_for_unnormalized(self, monkeypatch):
+        monkeypatch.setattr(smoother, "DENSE_LIMIT", 2)
         g = graph_from_annotations([(0, 1), (1, 2)], n=3)
-        config = SmoothingConfig(lam=1.0, dense_limit=2)
+        config = SmoothingConfig(lam=1.0)
         _, meta = run_smoothing(np.array([0.0, 1.0, 2.0]), g, config)
         assert meta["fallback_to_cd"] is False
         assert meta["solver"] == "cg"
@@ -605,7 +668,9 @@ class TestRunSmoothing:
             SmoothingConfig(discrepancy="kl", laplacian_kind=NORMALIZED_RW)
 
 
-# (config fields, the solver run_smoothing runs): every solve path, both kinds
+# (config fields, the solver run_smoothing runs): every solve path, both kinds;
+# a "dense_limit" entry is not a config field but the value set on
+# smoother.DENSE_LIMIT for the case
 SOLVE_PATHS = [
     ({}, "cholesky"),
     ({"dense_limit": 2}, "cg"),
@@ -619,14 +684,22 @@ SOLVE_PATHS = [
 ]
 
 
+def with_dense_limit(monkeypatch, options):
+    """The config fields of ``options``, after setting its "dense_limit"."""
+    options = dict(options)
+    if "dense_limit" in options:
+        monkeypatch.setattr(smoother, "DENSE_LIMIT", options.pop("dense_limit"))
+    return options
+
+
 @pytest.mark.parametrize("fields, solver", SOLVE_PATHS)
-def test_run_smoothing_is_the_direct_solve(fields, solver):
+def test_run_smoothing_is_the_direct_solve(monkeypatch, fields, solver):
     # run_smoothing returns what the solver it names returns at the
     # effective lambda, bit for bit; coordinate descent used to take lambda
     # from its config unscaled when called directly
     rng = np.random.default_rng(38)
     g = build_similarity_graph(rng.normal(size=(30, 2)), EUCLID, theta=0.5, tau=1.5)
-    config = SmoothingConfig(lam=0.8, epochs=50, seed=3, tolerance=1e-12, **fields)
+    config = SmoothingConfig(lam=0.8, epochs=50, seed=3, tolerance=1e-12, **with_dense_limit(monkeypatch, fields))
     kl = config.discrepancy == "kl"
     y = rng.dirichlet(np.ones(3), size=30) if kl else rng.normal(size=(30, 2))
     f, meta = run_smoothing(y, g, config)
@@ -667,13 +740,12 @@ class TestRunSmoothingShapes:
         assert np.array_equal(f, run_smoothing(y[:, None], g, SmoothingConfig(lam=0.7))[0][:, 0])
         assert meta["residual"] < 1e-8
 
-    def test_coordinate_descent_fallback_one_dimensional(self):
+    def test_coordinate_descent_fallback_one_dimensional(self, monkeypatch):
         # only the random-walk kind falls back to coordinate descent
+        monkeypatch.setattr(smoother, "DENSE_LIMIT", 2)
         rng, g = self.instance()
         y = rng.normal(size=12)
-        config = SmoothingConfig(
-            lam=0.7, laplacian_kind=NORMALIZED_RW, dense_limit=2, epochs=200, tolerance=1e-13
-        )
+        config = SmoothingConfig(lam=0.7, laplacian_kind=NORMALIZED_RW, epochs=200, tolerance=1e-13)
         f, meta = run_smoothing(y, g, config)
         assert meta["fallback_to_cd"] is True
         assert f.shape == (12,)
@@ -682,10 +754,11 @@ class TestRunSmoothingShapes:
         # the residual is measured before the column is squeezed away
         assert meta["residual"] == meta2["residual"] < 1e-8
 
-    def test_conjugate_gradient_one_dimensional(self):
+    def test_conjugate_gradient_one_dimensional(self, monkeypatch):
+        monkeypatch.setattr(smoother, "DENSE_LIMIT", 2)
         rng, g = self.instance()
         y = rng.normal(size=12)
-        config = SmoothingConfig(lam=0.7, dense_limit=2)
+        config = SmoothingConfig(lam=0.7)
         f, meta = run_smoothing(y, g, config)
         assert (meta["solver"], meta["converged"], meta["fallback_to_cd"]) == ("cg", True, False)
         assert f.shape == (12,)
@@ -707,9 +780,10 @@ class TestRunSmoothingShapes:
 
     @pytest.mark.parametrize("kind", [UNNORMALIZED, NORMALIZED_RW])
     @pytest.mark.parametrize("options", [{}, {"dense_limit": 0}, {"mode": "coordinate_descent"}])
-    def test_no_output_columns(self, kind, options):
+    def test_no_output_columns(self, monkeypatch, kind, options):
         _, g = self.instance()
-        f, meta = run_smoothing(np.zeros((12, 0)), g, SmoothingConfig(laplacian_kind=kind, **options))
+        config = SmoothingConfig(laplacian_kind=kind, **with_dense_limit(monkeypatch, options))
+        f, meta = run_smoothing(np.zeros((12, 0)), g, config)
         assert f.shape == (12, 0)
         assert meta["converged"] is True
 
