@@ -181,10 +181,9 @@ def violation_histogram(
         return [(0.0, 0.0, d.size, int(violated.sum()))]
     edges = np.linspace(0.0, dmax, num_bins + 1)
     which = np.minimum((d / dmax * num_bins).astype(int), num_bins - 1)
-    out = []
-    for b in range(num_bins):
-        mask = which == b
-        out.append(
-            (float(edges[b]), float(edges[b + 1]), int(mask.sum()), int(violated[mask].sum()))
-        )
-    return out
+    pairs = np.bincount(which, minlength=num_bins)
+    violations = np.bincount(which[violated], minlength=num_bins)
+    return [
+        (float(edges[b]), float(edges[b + 1]), int(pairs[b]), int(violations[b]))
+        for b in range(num_bins)
+    ]

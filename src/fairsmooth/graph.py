@@ -82,11 +82,19 @@ class SimilarityGraph:
         if np.any(rows > cols):
             rows, cols = np.minimum(rows, cols), np.maximum(rows, cols)
         if not np.all((rows[1:] > rows[:-1]) | ((rows[1:] == rows[:-1]) & (cols[1:] > cols[:-1]))):
-            # a stable sort by one key, so the copies of a pair keep their input order
-            order = np.argsort(rows * self.n + cols, kind="stable")
+            # unique keys have one sorting permutation, so numpy's default
+            # sort finds it; with a repeat, a stable sort keeps the copies
+            # of a pair in input order
+            keys = rows * self.n + cols
+            order = np.argsort(keys)
+            keys = keys[order]
+            repeat = keys[1:] == keys[:-1]
+            del keys  # freed before the gathers, so the peak stays that of one sort
+            repeated = repeat.any()
+            if repeated:
+                order = np.argsort(rows * self.n + cols, kind="stable")
             rows, cols, weights = rows[order], cols[order], weights[order]
-            repeat = (rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])
-            if repeat.any():
+            if repeated:
                 first = np.flatnonzero(np.r_[True, ~repeat])
                 rows, cols, weights = rows[first], cols[first], np.add.reduceat(weights, first)
         for name, a in (("rows", rows), ("cols", cols), ("weights", weights)):

@@ -192,18 +192,20 @@ def check_pairs(pairs, n: Optional[int] = None):
     P = np.asarray(pairs, dtype=float).reshape(-1, 3)
     with np.errstate(invalid="ignore"):  # NaN and huge indices cast to garbage, caught below
         ij = P[:, :2].astype(np.int64)
+    # column by column: reductions along the rows of an (m, 2) array are slow
+    i, j, d = ij[:, 0], ij[:, 1], P[:, 2]
     checks = (
-        (np.any(ij != P[:, :2], axis=1), InvalidParameter, "has an index that is not an integer"),
-        (ij[:, 0] == ij[:, 1], InvalidParameter, "joins a point to itself"),
-        (~((P[:, 2] >= 0) & (P[:, 2] < np.inf)), InvalidParameter, "needs a finite distance >= 0"),
+        ((i != P[:, 0]) | (j != P[:, 1]), InvalidParameter, "has an index that is not an integer"),
+        (i == j, InvalidParameter, "joins a point to itself"),
+        (~((d >= 0) & (d < np.inf)), InvalidParameter, "needs a finite distance >= 0"),
     )
     if n is not None:
-        checks += ((np.any((ij < 0) | (ij >= n), axis=1), IndexOutOfRange, f"is out of range for n={n}"),)
+        checks += (((i < 0) | (i >= n) | (j < 0) | (j >= n), IndexOutOfRange, f"is out of range for n={n}"),)
     for bad, error, what in checks:
         if bad.any():
-            i, j, d = P[np.argmax(bad)]
-            raise error(f"pair ({i:g}, {j:g}, {d:g}) {what}")
-    return ij[:, 0], ij[:, 1], P[:, 2]
+            a, b, c = P[np.argmax(bad)]
+            raise error(f"pair ({a:g}, {b:g}, {c:g}) {what}")
+    return i, j, d
 
 
 def _fair_distances(sigma, deltas, out: np.ndarray) -> np.ndarray:

@@ -197,6 +197,42 @@ class TestCanonicalForm:
         assert np.array_equal(g.rows, lo[first]) and np.array_equal(g.cols, hi[first])
         assert g.weights.tobytes() == np.add.reduceat(w, first).tobytes()
 
+    def test_unique_unsorted_keys_skip_the_stable_sort(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        i, j = np.triu_indices(40, 1)
+        order = rng.permutation(i.size)
+        flip = rng.uniform(size=i.size) < 0.5
+        rows, cols = np.where(flip, j, i)[order], np.where(flip, i, j)[order]
+        weights = rng.exponential(size=i.size)
+        in_order = weights[np.argsort(order)]
+        kinds = []
+        argsort = np.argsort
+
+        def default_sort_only(a, *args, **kwargs):
+            kinds.append(kwargs.get("kind"))
+            if kinds[-1] == "stable":
+                raise AssertionError("unique keys reached the stable sort")
+            return argsort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", default_sort_only)
+        g = SimilarityGraph(n=40, rows=rows, cols=cols, weights=weights)
+        assert kinds == [None]
+        assert np.array_equal(g.rows, i) and np.array_equal(g.cols, j)
+        assert g.weights.tobytes() == in_order.tobytes()
+
+    def test_repeated_keys_take_the_stable_sort(self, monkeypatch):
+        kinds = []
+        argsort = np.argsort
+
+        def recording(a, *args, **kwargs):
+            kinds.append(kwargs.get("kind"))
+            return argsort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", recording)
+        g = SimilarityGraph(n=4, rows=[2, 0, 1, 0], cols=[3, 1, 0, 2], weights=[0.5, 0.25, 0.125, 1.0])
+        assert kinds == [None, "stable"]
+        assert g.edges == [(0, 1, 0.375), (0, 2, 1.0), (2, 3, 0.5)]
+
     def test_canonical_arrays_kept_without_a_copy(self):
         rows, cols, weights = np.array([0, 0, 2]), np.array([1, 3, 3]), np.array([0.5, 0.0, 1.0])
         g = SimilarityGraph(n=4, rows=rows, cols=cols, weights=weights)

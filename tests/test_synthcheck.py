@@ -13,6 +13,7 @@ from fairsmooth import (
 from fairsmooth.errors import InvalidParameter, UnsupportedSpec
 from fairsmooth.synthcheck import (
     KERNEL_BLOCK_ROWS,
+    _kernel_rows,
     kernel_graph,
     kernel_weights,
     target_values,
@@ -122,6 +123,37 @@ class TestKernelWeights:
                 diff = X[i] - X[j]
                 expected = pref * np.exp(-diff @ disp @ diff / (2 * sigma**2))
                 assert W[i, j] == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_blocks_match_explicit_formula(self, d):
+        # three row blocks, the last one short, with exact and near copies of points
+        rng = np.random.default_rng(63 + d)
+        X = rng.uniform(size=(2 * KERNEL_BLOCK_ROWS + 37, d))
+        X[1] = X[0]
+        X[KERNEL_BLOCK_ROWS + 5] = X[3] + 1e-9
+        X[-1] = X[KERNEL_BLOCK_ROWS - 1] * (1.0 + 1e-14)
+        A = rng.normal(size=(d, d))
+        disp = A @ A.T + d * np.eye(d)  # not diagonal from d = 2 on
+        sigma = 0.3
+        pref = np.sqrt(np.linalg.det(disp)) / ((2 * np.pi) ** (d / 2) * sigma**d)
+        n = len(X)
+        seen = 0
+        for start, stop, W in _kernel_rows(X, sigma, disp):
+            assert W.shape == (stop - start, n - start)
+            diff = X[start:stop, None, :] - X[None, start:, :]
+            expected = pref * np.exp(-np.einsum("abk,kl,abl->ab", diff, disp, diff) / (2 * sigma**2))
+            upper = np.arange(start, stop)[:, None] < np.arange(start, n)[None, :]
+            assert np.all(W[~upper] == 0.0)
+            assert np.allclose(W[upper], expected[upper], rtol=1e-12, atol=0.0)
+            seen += int(upper.sum())
+        assert seen == n * (n - 1) // 2
+
+    def test_coincident_points_give_exactly_the_prefactor_at_d1(self):
+        X = np.repeat(np.random.default_rng(64).uniform(-3.0, 3.0, size=(40, 1)), 2, axis=0)
+        disp, sigma = np.array([[1.7]]), 0.3
+        W = kernel_weights(X, sigma, disp)
+        pref = np.sqrt(np.linalg.det(disp)) / ((2.0 * np.pi) ** 0.5 * sigma)
+        assert np.all(W[np.arange(0, 80, 2), np.arange(1, 80, 2)] == pref)
 
     def test_kernel_graph_matches_weights(self):
         rng = np.random.default_rng(62)
