@@ -14,12 +14,14 @@ finite bound >= 0.  Rows are unordered pairs: (j, i, b) is the constraint
 (i, j, b), and :func:`count_violations` reports each pair as (min, max).
 """
 
+import math
+import numbers
 from typing import List, Tuple
 
 import numpy as np
 
 from .errors import InvalidParameter, NotConverged
-from .metric import check_outputs, check_pairs, restore_shape
+from .metric import check_outputs, check_pairs, pair_gaps, restore_shape
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 10_000
@@ -41,22 +43,36 @@ def _constraint_table(constraints, n: int):
     return np.minimum(i, j), np.maximum(i, j), bounds
 
 
+def _project(z_i: np.ndarray, z_j: np.ndarray, bound: float):
+    """Projection of the rows (z_i, z_j) onto ||z_i - z_j|| <= bound, for a
+    bound >= 0: the inputs themselves when the pair holds, else both moved
+    toward each other along their difference by equal amounts until the
+    distance equals the bound.  The distance is sqrt(diff . diff), what
+    np.linalg.norm computes for a vector."""
+    diff = z_i - z_j
+    dist = math.sqrt(diff.dot(diff))
+    if dist <= bound:
+        return z_i, z_j
+    shift = 0.5 * (dist - bound) / dist
+    return z_i - shift * diff, z_j + shift * diff
+
+
 def project_pair(f_i: np.ndarray, f_j: np.ndarray, bound: float):
     """Euclidean projection of (f_i, f_j) onto ||f_i - f_j|| <= bound.
 
     If violated, both points move toward each other along their difference
-    by equal amounts until the distance equals the bound.
+    by equal amounts until the distance equals the bound.  The points are
+    vectors (a scalar is one entry) and come back as new arrays; a NaN or
+    negative bound raises InvalidParameter.
     """
+    if not bound >= 0:
+        raise InvalidParameter(f"bound must be >= 0, got {bound}")
     f_i = np.atleast_1d(np.asarray(f_i, dtype=float))
     f_j = np.atleast_1d(np.asarray(f_j, dtype=float))
-    diff = f_i - f_j
-    dist = float(np.linalg.norm(diff))
-    if dist <= bound:
+    p_i, p_j = _project(f_i, f_j, bound)
+    if p_i is f_i:
         return f_i.copy(), f_j.copy()
-    if dist == 0.0:
-        return f_i.copy(), f_j.copy()
-    shift = 0.5 * (dist - bound) / dist
-    return f_i - shift * diff, f_j + shift * diff
+    return p_i, p_j
 
 
 def global_if_project(
@@ -71,11 +87,19 @@ def global_if_project(
     docstring.  Sweeps the rows in lexicographic order of their
     (min(i, j), max(i, j)) pair, the rows of one pair in row order,
     carrying one correction per row.  Terminates when every constraint holds
-    within tol and the iterate moved less than tol over a full sweep.
-    ``yhat`` is read by :func:`check_outputs`; the result has its shape.
+    within tol and the iterate moved less than tol over a full sweep, or
+    raises NotConverged after ``max_iter`` sweeps.  A ``tol`` that is not
+    positive and finite, or a ``max_iter`` that is not an integer >= 1,
+    raises InvalidParameter.  ``yhat`` is read by :func:`check_outputs`;
+    the result has its shape.
+
+    A sweep costs O(m K) for m rows and K output columns: each row is a
+    few numpy operations on K-element rows, written in place.
     """
     if not 0 < tol < np.inf:
         raise InvalidParameter(f"tol must be positive and finite, got {tol}")
+    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral):
+        raise InvalidParameter(f"max_iter must be an integer, got {max_iter!r}")
     if max_iter < 1:
         raise InvalidParameter(f"max_iter must be >= 1, got {max_iter}")
     f = check_outputs(yhat).copy()
@@ -90,19 +114,16 @@ def global_if_project(
     corrections = np.zeros((len(cons), 2, K))
     for _ in range(max_iter):
         moved = 0.0
-        for idx, (i, j, bound) in enumerate(cons):
-            zi = f[i] + corrections[idx, 0]
-            zj = f[j] + corrections[idx, 1]
-            pi, pj = project_pair(zi, zj, bound)
-            corrections[idx, 0] = zi - pi
-            corrections[idx, 1] = zj - pj
-            moved = max(
-                moved,
-                float(np.max(np.abs(pi - f[i]))),
-                float(np.max(np.abs(pj - f[j]))),
-            )
-            f[i] = pi
-            f[j] = pj
+        for (i, j, bound), c in zip(cons, corrections):
+            f_i, f_j = f[i], f[j]
+            z_i = f_i + c[0]
+            z_j = f_j + c[1]
+            p_i, p_j = _project(z_i, z_j, bound)
+            c[0] = z_i - p_i
+            c[1] = z_j - p_j
+            moved = max(moved, abs(p_i - f_i).max(), abs(p_j - f_j).max())
+            f_i[:] = p_i
+            f_j[:] = p_j
         worst = _excess(f, ii, jj, bounds).max(initial=0.0)
         if worst <= tol and moved < tol:
             return restore_shape(f, yhat)
@@ -111,7 +132,7 @@ def global_if_project(
 
 def _excess(f: np.ndarray, ii: np.ndarray, jj: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     """||f_i - f_j|| - bound per constraint."""
-    return np.linalg.norm(f[ii] - f[jj], axis=1) - bounds
+    return pair_gaps(f, ii, jj) - bounds
 
 
 def count_violations(
@@ -120,7 +141,10 @@ def count_violations(
     slack: float = 0.0,
 ) -> List[Tuple[int, int, float]]:
     """(min(i, j), max(i, j), excess) of the rows of ``constraints`` whose
-    pair violates its bound by more than ``slack``, in row order."""
+    pair violates its bound by more than ``slack``, in row order.  A NaN or
+    negative ``slack`` raises InvalidParameter; ``inf`` reports nothing."""
+    if not slack >= 0:
+        raise InvalidParameter(f"slack must be >= 0, got {slack}")
     arr = check_outputs(f)
     ii, jj, bounds = _constraint_table(constraints, arr.shape[0])
     excess = _excess(arr, ii, jj, bounds)

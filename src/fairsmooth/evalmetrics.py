@@ -21,7 +21,7 @@ from .errors import (
     InvalidParameter,
     NoLabels,
 )
-from .metric import check_outputs, check_pairs
+from .metric import check_outputs, check_pairs, pair_gaps
 
 DEFAULT_THRESHOLD = 0.5
 
@@ -173,8 +173,7 @@ def violation_histogram(
     ii, jj, d = check_pairs(distances, arr.shape[0])
     if d.size == 0:
         raise EmptyPairs("no distance pairs supplied")
-    gaps = np.linalg.norm(arr[ii] - arr[jj], axis=1)
-    violated = gaps > lipschitz * d
+    violated = pair_gaps(arr, ii, jj) > lipschitz * d
 
     dmax = float(d.max())
     if dmax == 0.0:

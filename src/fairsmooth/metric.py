@@ -208,6 +208,18 @@ def check_pairs(pairs, n: Optional[int] = None):
     return i, j, d
 
 
+def pair_gaps(outputs: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """||f_i - f_j||_2 per pair of rows of an (n, K) outputs table.
+
+    At K = 1 this is |f_i - f_j| of the one column, exact even where the
+    square would underflow or overflow; otherwise np.linalg.norm per row.
+    """
+    if outputs.shape[1] == 1:
+        col = outputs[:, 0]
+        return np.abs(col[i] - col[j])
+    return np.linalg.norm(outputs[i] - outputs[j], axis=1)
+
+
 def _fair_distances(sigma, deltas, out: np.ndarray) -> np.ndarray:
     """Write sqrt(max(delta^T Sigma delta, 0)) into ``out``, one entry per pair.
 

@@ -1,9 +1,9 @@
 """Smoke test: the quick demos run to completion.
 
 Demo 02 (local against global fairness) is left out: its global Dykstra
-projection takes about 50 s, too long for the tier-1 suite until the
-baseline is vectorized.  Every demo, demo 02 included, is parsed to check
-that each name it imports from fairsmooth exists.
+projection takes about 29 s on a 2-core Xeon, too long for the tier-1
+suite until the baseline is vectorized.  Every demo, demo 02 included, is
+parsed to check that each name it imports from fairsmooth exists.
 """
 
 import ast

@@ -15,7 +15,7 @@ from fairsmooth import (
     unnormalized_laplacian,
 )
 from fairsmooth import metric as metric_mod
-from fairsmooth.metric import PAIR_CHUNK, check_pairs, pair_fair_distances
+from fairsmooth.metric import PAIR_CHUNK, check_pairs, pair_fair_distances, pair_gaps
 from fairsmooth.errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -394,3 +394,17 @@ def test_array_holding_records_compare_and_hash_by_identity(build):
     a, b = build(), build()
     assert a == a and a != b
     assert len({a, a, b}) == 2
+
+
+class TestPairGaps:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_norm_per_row(self, k):
+        rng = np.random.default_rng(60)
+        f = rng.normal(size=(9, k)) * 10.0 ** rng.integers(-50, 50, size=(9, 1))
+        i, j = np.triu_indices(9, 1)
+        expected = np.linalg.norm(f[i] - f[j], axis=1)
+        assert pair_gaps(f, i, j).tobytes() == expected.tobytes()
+
+    def test_exact_where_the_square_is_not(self):
+        f = np.array([[0.0], [1e-170], [-1e200], [1e200]])
+        assert pair_gaps(f, np.array([0, 2]), np.array([1, 3])).tolist() == [1e-170, 2e200]
