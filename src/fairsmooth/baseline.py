@@ -15,13 +15,12 @@ finite bound >= 0.  Rows are unordered pairs: (j, i, b) is the constraint
 """
 
 import math
-import numbers
 from typing import List, Tuple
 
 import numpy as np
 
 from .errors import InvalidParameter, NotConverged
-from .metric import check_outputs, check_pairs, pair_gaps, restore_shape
+from .metric import check_outputs, check_pairs, check_type, pair_gaps, restore_shape
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 10_000
@@ -30,7 +29,7 @@ DEFAULT_MAX_ITER = 10_000
 def constraints_from_distances(pairs, lipschitz: float) -> np.ndarray:
     """The (m, 3) constraint table [i, j, L*d] of (i, j, fair distance)
     triples, given as a sequence or an (m, 3) array."""
-    if not 0 < lipschitz < np.inf:
+    if not 0 < check_type(lipschitz, "lipschitz", float) < np.inf:
         raise InvalidParameter(f"lipschitz constant must be positive and finite, got {lipschitz}")
     i, j, d = check_pairs(pairs)
     return np.column_stack((i, j, lipschitz * d))
@@ -65,7 +64,7 @@ def project_pair(f_i: np.ndarray, f_j: np.ndarray, bound: float):
     vectors (a scalar is one entry) and come back as new arrays; a NaN or
     negative bound raises InvalidParameter.
     """
-    if not bound >= 0:
+    if not check_type(bound, "bound", float) >= 0:
         raise InvalidParameter(f"bound must be >= 0, got {bound}")
     f_i = np.atleast_1d(np.asarray(f_i, dtype=float))
     f_j = np.atleast_1d(np.asarray(f_j, dtype=float))
@@ -96,11 +95,9 @@ def global_if_project(
     A sweep costs O(m K) for m rows and K output columns: each row is a
     few numpy operations on K-element rows, written in place.
     """
-    if not 0 < tol < np.inf:
+    if not 0 < check_type(tol, "tol", float) < np.inf:
         raise InvalidParameter(f"tol must be positive and finite, got {tol}")
-    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral):
-        raise InvalidParameter(f"max_iter must be an integer, got {max_iter!r}")
-    if max_iter < 1:
+    if check_type(max_iter, "max_iter", int) < 1:
         raise InvalidParameter(f"max_iter must be >= 1, got {max_iter}")
     f = check_outputs(yhat).copy()
     n, K = f.shape
@@ -143,7 +140,7 @@ def count_violations(
     """(min(i, j), max(i, j), excess) of the rows of ``constraints`` whose
     pair violates its bound by more than ``slack``, in row order.  A NaN or
     negative ``slack`` raises InvalidParameter; ``inf`` reports nothing."""
-    if not slack >= 0:
+    if not check_type(slack, "slack", float) >= 0:
         raise InvalidParameter(f"slack must be >= 0, got {slack}")
     arr = check_outputs(f)
     ii, jj, bounds = _constraint_table(constraints, arr.shape[0])

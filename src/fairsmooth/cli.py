@@ -285,18 +285,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except ValidationError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except NumericalError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: ParseError: missing file {exc.filename}", file=sys.stderr)
+    except OSError as exc:
+        detail = f"missing file {exc.filename}" if isinstance(exc, FileNotFoundError) else exc
+        print(f"error: ParseError: {detail}", file=sys.stderr)
         return 1
     except FairSmoothError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, NumericalError) else 1
     return 0
 
 

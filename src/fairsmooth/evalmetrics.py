@@ -21,7 +21,7 @@ from .errors import (
     InvalidParameter,
     NoLabels,
 )
-from .metric import check_outputs, check_pairs, pair_gaps
+from .metric import check_outputs, check_pairs, check_type, pair_gaps
 
 DEFAULT_THRESHOLD = 0.5
 
@@ -75,7 +75,7 @@ class GroupedPredictions:
 def predicted_classes(outputs: np.ndarray, threshold: float = DEFAULT_THRESHOLD) -> np.ndarray:
     """Predicted class per row: argmax for K >= 2 (ties to the lowest class
     index), a finite threshold on the single column for K = 1."""
-    if not np.isfinite(threshold):
+    if not np.isfinite(check_type(threshold, "threshold", float)):
         raise InvalidParameter(f"threshold must be finite, got {threshold}")
     arr = check_outputs(outputs)
     if arr.shape[1] == 1:
@@ -164,10 +164,9 @@ def violation_histogram(
     are equal-width over [0, max distance], right-open except the last.  A
     pair violates when ||f_i - f_j||_2 > lipschitz * d.
     """
-    if not 0 < lipschitz < np.inf:
+    if not 0 < check_type(lipschitz, "lipschitz", float) < np.inf:
         raise InvalidParameter(f"lipschitz constant must be positive and finite, got {lipschitz}")
-    num_bins = int(_integers(num_bins, "num_bins"))
-    if num_bins < 1:
+    if check_type(num_bins, "num_bins", int) < 1:
         raise InvalidParameter(f"num_bins must be >= 1, got {num_bins}")
     arr = check_outputs(f)
     ii, jj, d = check_pairs(distances, arr.shape[0])

@@ -22,7 +22,7 @@ from .errors import (
     SelfLoop,
 )
 from .io import FLOAT_FMT, line_of_row, read_table, write_rows
-from .metric import FairMetricSpec, check_points, pair_fair_distances
+from .metric import FairMetricSpec, check_points, check_type, pair_fair_distances
 
 # weights this small cannot influence solutions beyond machine precision
 WEIGHT_FLOOR = 1e-15
@@ -57,7 +57,7 @@ class SimilarityGraph:
     weights: np.ndarray
 
     def __post_init__(self):
-        if self.n < 0:
+        if check_type(self.n, "n", int) < 0:
             raise InvalidParameter(f"n must be >= 0, got {self.n}")
         if self.n > MAX_NODES:
             raise InvalidParameter(f"n must be <= {MAX_NODES}, got {self.n}")
@@ -142,9 +142,9 @@ def build_similarity_graph(
     :func:`~fairsmooth.metric.pairwise_fair_distances` computes for the
     pair, so the graph is the all-pairs selection without an n x n array.
     """
-    if not theta > 0:
+    if not check_type(theta, "theta", float) > 0:
         raise InvalidParameter(f"theta must be positive, got {theta}")
-    if not tau > 0:
+    if not check_type(tau, "tau", float) > 0:
         raise InvalidParameter(f"tau must be positive, got {tau}")
     X = check_points(metric, X)
     rows, cols = _candidate_pairs(X, metric, tau)
@@ -200,10 +200,10 @@ def _candidate_pairs(X: np.ndarray, metric: FairMetricSpec, tau: float):
 
 
 def graph_from_annotations(pairs: Iterable[Tuple[int, int]], n: int) -> SimilarityGraph:
-    """Binary similarity graph from annotator pairs; unordered, deduplicated."""
-    if n < 1:
+    """Binary similarity graph from integer annotator pairs; unordered, deduplicated."""
+    if check_type(n, "n", int) < 1:
         raise InvalidParameter(f"n must be >= 1, got {n}")
-    p = np.array(list(pairs) or np.empty((0, 2)), dtype=np.int64)
+    p = np.array(list(pairs) or np.empty((0, 2)))
     if p.ndim != 2 or p.shape[1] != 2:
         raise InvalidParameter("annotator pairs must be (i, j) index pairs")
     # construction sums a repeated pair, so the weights are reset to 1 after it

@@ -89,11 +89,14 @@ def _data_lines(path, comments, skiprows):
     """(lineno, stripped text) of each data line, for files np.loadtxt rejected
     and for naming a bad row; the fast path never loops over lines."""
     with open(path, "r", encoding="utf-8", newline=None) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if lineno <= skiprows or not text or (comments and text.startswith("#")):
-                continue
-            yield lineno, text
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                text = line.strip()
+                if lineno <= skiprows or not text or (comments and text.startswith("#")):
+                    continue
+                yield lineno, text
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _first_bad_line(path, dtypes, delimiter, comments, skiprows) -> Optional[str]:
@@ -128,7 +131,8 @@ def _comment_lines(path) -> List[Tuple[int, str]]:
         end = len(data) if end < 0 else end
         lineno += data.count(b"\n", counted, start)
         counted = start
-        text = data[start:end].decode("utf-8").strip()
+        # read_table rejects a file that is not UTF-8 text; here a comment is only read
+        text = data[start:end].decode("utf-8", "replace").strip()
         if not text.startswith("#"):
             raise ParseError(f"{path}:{lineno}: could not parse {text!r}")
         notes.append((lineno, text))
@@ -359,7 +363,8 @@ def read_matrix_csv(path) -> np.ndarray:
 
 
 def _has_header(path) -> bool:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    # read_table rejects a file that is not UTF-8 text; here one line is only looked at
+    with open(path, "r", encoding="utf-8", errors="replace", newline="") as fh:
         first = fh.readline()
     if not first.strip():
         return False
@@ -410,7 +415,8 @@ def _read_keyed_rows(path, dtypes):
     """Columns after the first of a 'row_index,...' CSV, in row-index order;
     the indices must be a permutation of 0..n-1.  A first line whose first
     field is 'row_index' is a header."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    # read_table rejects a file that is not UTF-8 text; here one line is only looked at
+    with open(path, "r", encoding="utf-8", errors="replace", newline="") as fh:
         header = next(csv.reader([fh.readline()]), None) or [""]
     skiprows = int(header[0].strip().lower() == "row_index")
     (idx, *columns), _ = read_table(path, (np.int64, *dtypes), delimiter=",", skiprows=skiprows)
@@ -439,7 +445,7 @@ def read_json(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: invalid JSON ({exc})")
 
 

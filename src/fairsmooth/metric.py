@@ -11,6 +11,7 @@ are evaluated through the quadratic form directly, never via a Cholesky
 factor of Sigma.
 """
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -142,6 +143,16 @@ def fair_distance(spec: FairMetricSpec, x: np.ndarray, xp: np.ndarray) -> float:
 # cache (at n = 3000, 64-row blocks took 2.4 times as long as 8-row ones)
 BLOCK_SIZE = 8
 PAIR_CHUNK = 16384
+
+
+def check_type(value, what: str, kind: type):
+    """``value`` unchanged if it has type ``kind``, else InvalidParameter:
+    ``int`` takes an integral and ``float`` a real number, numpy scalars
+    included and a bool never; any other kind is an isinstance test."""
+    abstract = numbers.Integral if kind is int else numbers.Real if kind is float else kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, abstract):
+        raise InvalidParameter(f"{what} must be of type {kind.__name__}, got {value!r}")
+    return value
 
 
 def check_points(spec: FairMetricSpec, X: np.ndarray) -> np.ndarray:

@@ -22,7 +22,6 @@ mode.
 """
 
 import math
-import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -47,7 +46,7 @@ from .laplacian import (
     make_laplacian,
     quadratic_form,
 )
-from .metric import check_outputs, restore_shape
+from .metric import check_outputs, check_type, restore_shape
 
 # probabilities are clamped to this floor before taking logs; the KL
 # objective is undefined at the simplex boundary
@@ -67,28 +66,24 @@ CG_ITERATION_CAP = 10
 MODES = ("closed_form", "coordinate_descent")
 DISCREPANCIES = ("squared", "kl")
 
-# config fields declared int or float accept any integral or real number
-# (numpy scalars included), never a bool
-_NUMBER_TYPES = {int: numbers.Integral, float: numbers.Real}
-
 
 def _check_lambda(lam) -> None:
-    if not 0 <= lam < np.inf:
+    if not 0 <= check_type(lam, "lambda", float) < np.inf:
         raise InvalidParameter(f"lambda must be finite and >= 0, got {lam}")
 
 
 def _check_epochs(epochs) -> None:
-    if not epochs >= 1:
+    if not check_type(epochs, "epochs", int) >= 1:
         raise InvalidParameter("epochs must be >= 1")
 
 
 def _check_seed(seed) -> None:
-    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+    if not check_type(seed, "seed", int) >= 0:
         raise InvalidParameter(f"seed must be an integer >= 0, got {seed!r}")
 
 
 def _check_tolerance(tolerance) -> None:
-    if not tolerance > 0:
+    if not check_type(tolerance, "tolerance", float) > 0:
         raise InvalidParameter("tolerance must be positive")
 
 
@@ -116,13 +111,7 @@ class SmoothingConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool) != (f.type is bool) or not isinstance(
-                value, _NUMBER_TYPES.get(f.type, f.type)
-            ):
-                raise InvalidParameter(
-                    f"{f.name} must be of type {f.type.__name__}, got {value!r}"
-                )
+            check_type(getattr(self, f.name), f.name, f.type)
         _check_lambda(self.lam)
         if self.laplacian_kind not in KINDS:
             raise InvalidParameter(f"unknown laplacian kind {self.laplacian_kind!r}")
@@ -454,12 +443,14 @@ def smooth_kl(yhat_probs: np.ndarray, L_un: LaplacianOperator, lam: float) -> np
     solver :func:`run_smoothing` picks under ``SmoothingConfig`` defaults
     (dense Cholesky on small graphs, certified conjugate gradient on large
     or sparse ones), and mapped back; the result solves the KL smoothing
-    problem on the simplex.
+    problem on the simplex.  An uncertified solve raises NotConverged.
     """
     if L_un.kind != UNNORMALIZED:
         raise InvalidParameter("kl smoothing requires the unnormalized laplacian")
     eta = to_natural_params(np.atleast_2d(yhat_probs))
-    f, _ = _solve(eta, L_un, lam, SmoothingConfig(lam=lam))
+    f, info = _solve(eta, L_un, lam, SmoothingConfig(lam=lam))
+    if not info["converged"]:
+        raise NotConverged(f"{info['solver']} left residual {info['residual']:.3g} above its bound {SmoothingConfig.tolerance:.3g}")
     return from_natural_params(f)
 
 

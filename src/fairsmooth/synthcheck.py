@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import InvalidParameter, UnsupportedSpec
 from .graph import SimilarityGraph
+from .metric import check_type
 
 TARGETS = ("cosine_product", "cosine_sum", "constant")
 DEFAULT_SIGMA_EXPONENT = 1.0 / 6.0
@@ -42,7 +43,7 @@ class SyntheticSpec:
     dispersion: np.ndarray = None  # defaults to identity
 
     def __post_init__(self):
-        if self.dimension < 1:
+        if check_type(self.dimension, "dimension", int) < 1:
             raise InvalidParameter(f"dimension must be >= 1, got {self.dimension}")
         if self.target_function not in TARGETS:
             raise UnsupportedSpec(f"unsupported target function {self.target_function!r}")
@@ -68,7 +69,7 @@ def validate_sigma_rule(exponent: float, dimension: int) -> None:
     random-walk limit needs n*sigma^{d+4} / log(1/sigma) -> inf, which we
     accept up to the borderline rate e <= 1/(d+4).
     """
-    if not exponent > 0:
+    if not check_type(exponent, "sigma_exponent", float) > 0:
         raise InvalidParameter(f"sigma exponent must be positive, got {exponent}")
     if not exponent < 0.5:
         raise InvalidParameter(
@@ -124,7 +125,7 @@ def _kernel_rows(X: np.ndarray, sigma: float, dispersion: np.ndarray):
     x_i (-2 Sigma x_j) + q_i + q_j and coincident points give exactly the
     prefactor.
     """
-    if not sigma > 0:
+    if not check_type(sigma, "sigma", float) > 0:
         raise InvalidParameter(f"sigma must be positive, got {sigma}")
     X = np.asarray(X, dtype=float)
     n, d = X.shape
@@ -260,10 +261,10 @@ def convergence_report(
     n_grid, seeds = list(n_grid), list(seeds)
     if not n_grid or not seeds:
         raise InvalidParameter("n_grid is empty" if not n_grid else "seeds is empty")
-    bad = [n for n in n_grid if not n >= 2]
+    bad = [n for n in n_grid if not check_type(n, "every n", int) >= 2]
     if bad:
         raise InvalidParameter(f"every n must be >= 2, got {bad[0]}")
-    bad = [s for s in seeds if not (isinstance(s, (int, np.integer)) and s >= 0)]
+    bad = [s for s in seeds if not check_type(s, "every seed", int) >= 0]
     if bad:
         raise InvalidParameter(f"every seed must be a non-negative integer, got {bad[0]!r}")
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])):

@@ -319,7 +319,7 @@ class TestGlobalProjection:
             global_if_project(np.zeros(2), [(0, 5, 1.0)])
 
     @pytest.mark.parametrize(
-        "options", [{"tol": np.nan}, {"tol": np.inf}, {"tol": 0.0}, {"max_iter": 0}]
+        "options", [{"tol": np.nan}, {"tol": np.inf}, {"tol": 0.0}, {"max_iter": 0}, {"tol": True}, {"tol": "1e-8"}]
     )
     def test_loop_parameters_rejected(self, options):
         with pytest.raises(InvalidParameter):

@@ -479,12 +479,71 @@ class TestSmoothConfig:
         assert dests <= {f.name for f in dataclasses.fields(SmoothingConfig)}
         assert dests == {name for _, name, _ in FLAG_OVERRIDES}
 
-    def test_readme_lists_every_config_key(self):
-        # README's sentence on the config file names exactly the JSON keys
+    def test_readme_lists_every_config_key(self, run):
+        # README's sentence on the config file names the JSON key of each
+        # field in field order, and the CLI sets that field from that key
         text = " ".join(README.read_text(encoding="utf-8").split())
         sentence = re.search(r"with `lambda` for `lam`: (.*?)\. ", text).group(1)
         keys = re.findall(r"`(\w+)`", sentence)
-        assert keys == [json_key(f.name) for f in dataclasses.fields(SmoothingConfig)]
+        names = [f.name for f in dataclasses.fields(SmoothingConfig)]
+        assert len(keys) == len(names)
+        for key, name in zip(keys, names):
+            assert run({key: NON_DEFAULT[name]}) == (0, SmoothingConfig(**{name: NON_DEFAULT[name]}))
+
+
+class TestUnreadableFile:
+    @pytest.fixture
+    def files(self, tmp_path):
+        """Valid inputs for smooth, eval and graph build, a file that is not
+        UTF-8 text and a directory."""
+        paths = {
+            "graph": tmp_path / "graph.tsv",
+            "config": tmp_path / "config.json",
+            "groups": tmp_path / "groups.csv",
+            "latin1": tmp_path / "latin1.txt",
+            "dir": tmp_path / "dir",
+        }
+        paths["graph"].write_text("# n=2\n0\t1\t1\n")
+        paths["config"].write_text('{"lambda": 1.0}')
+        paths["groups"].write_text("0,a,1\n1,b,1\n")
+        paths["latin1"].write_bytes("0,caf\u00e9\n".encode("latin-1"))
+        paths["dir"].mkdir()
+        paths = {name: str(path) for name, path in paths.items()}
+        paths["outputs"] = write_outputs(tmp_path, [0.0, 1.0])
+        paths["embeddings"] = write_embeddings(tmp_path, [[0.0], [1.0]])
+        paths["metric"] = write_metric(tmp_path)
+        paths["out"] = str(tmp_path / "out.csv")
+        return paths
+
+    SMOOTH = ["smooth", "--graph", "{graph}", "--outputs", "{outputs}", "--config", "{config}", "--out", "{out}"]
+    EVAL = ["eval", "--outputs", "{outputs}", "--groups", "{groups}"]
+    BUILD = ["graph", "build", "--embeddings", "{embeddings}", "--metric", "{metric}", "--tau", "1", "--out", "{out}"]
+
+    @pytest.mark.parametrize(
+        "argv, flag, bad",
+        [
+            (SMOOTH, "--config", "latin1"),
+            (SMOOTH, "--graph", "latin1"),
+            (SMOOTH, "--outputs", "latin1"),
+            (EVAL, "--groups", "latin1"),
+            (BUILD, "--metric", "latin1"),
+            (SMOOTH, "--graph", "dir"),
+            (SMOOTH, "--out", "dir"),
+        ],
+    )
+    def test_one_error_line_naming_the_file(self, files, capsys, argv, flag, bad):
+        # each printed a UnicodeDecodeError or IsADirectoryError traceback
+        argv = [a.format(**files) for a in argv]
+        argv[argv.index(flag) + 1] = files[bad]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ParseError: ") and files[bad] in line
+
+    def test_valid_files_run(self, files):
+        for argv in (self.SMOOTH, self.EVAL, self.BUILD):
+            assert main([a.format(**files) for a in argv]) == 0
 
 
 class TestInductive:

@@ -260,11 +260,11 @@ class TestViolationHistogram:
 
     def test_invalid_parameters(self):
         # an infinite bound made a zero-distance pair's bound NaN, never violated
-        for lipschitz in (0.0, np.inf):
+        for lipschitz in (0.0, np.inf, True):
             with pytest.raises(InvalidParameter):
                 violation_histogram(np.array([0.0, 1.0]), [(0, 1, 0.0)], lipschitz=lipschitz)
-        # a fractional bin count ended in a bare TypeError
-        for num_bins in (0, 2.5):
+        # a fractional bin count ended in a bare TypeError; True made one bin
+        for num_bins in (0, 2.5, True):
             with pytest.raises(InvalidParameter):
                 violation_histogram(
                     np.array([0.0, 1.0]), [(0, 1, 1.0)], lipschitz=1.0, num_bins=num_bins

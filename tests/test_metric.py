@@ -8,14 +8,28 @@ from fairsmooth import (
     GroupedPredictions,
     SimilarityGraph,
     SyntheticSpec,
+    accuracy,
+    build_similarity_graph,
+    constraints_from_distances,
+    convergence_report,
+    count_violations,
     fair_distance,
     graph_from_annotations,
+    inductive_update,
+    kl_coordinate_update,
     metric_spec_from_json,
     pairwise_fair_distances,
+    project_pair,
+    smooth_closed_form,
+    smooth_conjugate_gradient,
+    smooth_coordinate_descent,
     unnormalized_laplacian,
+    violation_histogram,
 )
 from fairsmooth import metric as metric_mod
-from fairsmooth.metric import PAIR_CHUNK, check_pairs, pair_fair_distances, pair_gaps
+from fairsmooth.evalmetrics import predicted_classes
+from fairsmooth.metric import PAIR_CHUNK, check_pairs, check_type, pair_fair_distances, pair_gaps
+from fairsmooth.synthcheck import kernel_weights
 from fairsmooth.errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -408,3 +422,85 @@ class TestPairGaps:
     def test_exact_where_the_square_is_not(self):
         f = np.array([[0.0], [1e-170], [-1e200], [1e200]])
         assert pair_gaps(f, np.array([0, 2]), np.array([1, 3])).tolist() == [1e-170, 2e200]
+
+
+class TestCheckType:
+    @pytest.mark.parametrize(
+        "value, kind",
+        [(3, int), (np.int64(3), int), (np.uint8(3), int), (0.5, float), (2, float),
+         (np.float32(0.5), float), (np.int32(2), float), (True, bool), ("a", str)],
+    )
+    def test_accepted_value_comes_back_unchanged(self, value, kind):
+        assert check_type(value, "x", kind) is value
+
+    @pytest.mark.parametrize(
+        "value, kind",
+        [(2.5, int), (3.0, int), (True, int), (np.True_, int), ("3", int), (None, int),
+         (True, float), ("1.0", float), (np.array(1.0), float), (1, bool), (np.True_, bool), (b"a", str)],
+    )
+    def test_other_value_rejected(self, value, kind):
+        with pytest.raises(InvalidParameter, match=f"^x must be of type {kind.__name__}, got "):
+            check_type(value, "x", kind)
+
+
+Y2 = np.array([0.0, 1.0])
+X2 = np.array([[0.0], [1.0]])
+PATH2 = unnormalized_laplacian(graph_from_annotations([(0, 1)], n=2))
+P3 = np.array([0.2, 0.3, 0.5])
+EUCLID = FairMetricSpec("euclidean")
+
+# (call taking the bad value, bad value, what the message names) for entry
+# points with no parametrized type test of their own; each ended in a bare
+# TypeError or returned a result
+BAD_SCALARS = [
+    (lambda v: smooth_closed_form(Y2, PATH2, v), "1", "lambda"),
+    (lambda v: smooth_closed_form(Y2, PATH2, v), True, "lambda"),
+    (lambda v: inductive_update(Y2, Y2, 0.0, v), "1", "lambda"),
+    (lambda v: kl_coordinate_update(P3, [P3], [1.0], v), True, "lambda"),
+    (lambda v: smooth_conjugate_gradient(Y2, PATH2, 1.0, v), True, "tolerance"),
+    (lambda v: SimilarityGraph(v, [0], [1], [1.0]), 2.5, "n"),
+    (lambda v: SimilarityGraph(v, [], [], []), True, "n"),
+    (lambda v: graph_from_annotations([(0, 1)], n=v), 2.5, "n"),
+    (lambda v: graph_from_annotations(v, n=3), [(0.5, 1.7)], "edge indices"),
+    (lambda v: build_similarity_graph(X2, EUCLID, theta=v), "1", "theta"),
+    (lambda v: build_similarity_graph(X2, EUCLID, tau=v), True, "tau"),
+    (lambda v: SyntheticSpec(dimension=v), 1.5, "dimension"),
+    (lambda v: SyntheticSpec(sigma_exponent=v), "0.1", "sigma_exponent"),
+    (lambda v: kernel_weights(X2, v, np.eye(1)), True, "sigma"),
+    (lambda v: project_pair(0.0, 1.0, v), True, "bound"),
+    (lambda v: constraints_from_distances([(0, 1, 1.0)], v), "1", "lipschitz"),
+    (lambda v: count_violations(Y2, [(0, 1, 0.5)], slack=v), True, "slack"),
+    (lambda v: violation_histogram(Y2, [(0, 1, 1.0)], v), "1", "lipschitz"),
+    (lambda v: violation_histogram(Y2, [(0, 1, 1.0)], 1.0, num_bins=v), 2.0, "num_bins"),
+    (lambda v: predicted_classes(Y2, v), "0.5", "threshold"),
+    (lambda v: accuracy(Y2, [0, 1], v), True, "threshold"),
+]
+
+
+@pytest.mark.parametrize("call, value, name", BAD_SCALARS)
+def test_scalar_parameter_of_wrong_type_rejected(call, value, name):
+    with pytest.raises(InvalidParameter, match=f"^{name} must be"):
+        call(value)
+
+
+# numpy scalars are numbers like any other
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: smooth_closed_form(Y2, PATH2, np.float32(0.5)),
+        lambda: smooth_coordinate_descent(
+            Y2, PATH2, np.int64(1), epochs=np.int32(3), seed=np.uint8(1), tolerance=np.float32(1e-6)
+        ),
+        lambda: inductive_update(Y2, Y2, 0.0, np.int64(1)),
+        lambda: SimilarityGraph(np.int64(2), [0], [1], [1.0]),
+        lambda: graph_from_annotations([(np.int32(0), np.int64(1))], n=np.int64(2)),
+        lambda: build_similarity_graph(X2, EUCLID, theta=np.float32(1.0), tau=np.int64(2)),
+        lambda: SyntheticSpec(dimension=np.int64(2), sigma_exponent=np.float32(0.1)),
+        lambda: convergence_report(SyntheticSpec(), [np.int32(20), np.int64(40)], [np.uint8(0)]),
+        lambda: project_pair(0.0, 1.0, np.float32(0.5)),
+        lambda: count_violations(Y2, [(0, 1, 0.5)], slack=np.float32(0.0)),
+        lambda: violation_histogram(Y2, [(0, 1, 1.0)], np.float32(0.5), num_bins=np.int64(2)),
+    ],
+)
+def test_numpy_scalar_parameters_accepted(call):
+    call()

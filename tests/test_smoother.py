@@ -27,6 +27,7 @@ from fairsmooth.errors import (
     DimensionMismatch,
     InvalidParameter,
     InvalidSimplexRow,
+    NotConverged,
     NotPositiveDefinite,
 )
 from fairsmooth.laplacian import (
@@ -176,7 +177,12 @@ class TestCoordinateDescent:
             ({"tolerance": 0.0}, "tolerance must be positive"),
             ({"tolerance": np.nan}, "tolerance must be positive"),
             ({"seed": -1}, "seed must be an integer >= 0"),
-            ({"seed": 1.5}, "seed must be an integer >= 0"),
+            ({"seed": 1.5}, "seed must be of type int"),
+            ({"epochs": 2.5}, "epochs must be of type int"),  # a bare TypeError from range
+            ({"epochs": True}, "epochs must be of type int"),
+            ({"seed": True}, "seed must be of type int"),
+            ({"lam": True}, "lambda must be of type float"),
+            ({"tolerance": True}, "tolerance must be of type float"),
         ],
     )
     def test_numbers_checked_as_in_config(self, options, message):
@@ -452,8 +458,12 @@ class TestKLSmoothing:
         # lambda -> inf on one edge: both rows go to the probability
         # vector whose natural parameters average the endpoints' --
         # which differs from the arithmetic probability mean
+        # lambda = 1e6 certifies; at 1e9 Cholesky's residual, 1.2e-7,
+        # misses the bound, and smooth_kl raises
         p = np.array([[0.7, 0.2, 0.1], [0.1, 0.6, 0.3]])
-        out = smooth_kl(p, PATH2, 1e9)
+        with pytest.raises(NotConverged):
+            smooth_kl(p, PATH2, 1e9)
+        out = smooth_kl(p, PATH2, 1e6)
         eta_bar = to_natural_params(p).mean(axis=0)
         expected = from_natural_params(eta_bar)
         assert np.max(np.abs(out - expected)) < 1e-6
@@ -474,6 +484,17 @@ class TestKLSmoothing:
         out = smooth_kl(np.array([0.2, 0.8]), L, 1.0)
         assert out.shape == (1, 2)
         assert np.allclose(out, [[0.2, 0.8]], atol=1e-12)
+
+    def test_uncertified_solve_raises(self):
+        # smooth_kl returned these rows, though run_smoothing reports the
+        # same solve converged: False
+        rng = np.random.default_rng(0)
+        X = rng.uniform(size=(800, 3))
+        p = rng.dirichlet(np.ones(3), size=800)
+        L = unnormalized_laplacian(build_similarity_graph(X, EUCLID, theta=1.0, tau=0.3))
+        with pytest.raises(NotConverged, match=r"^cholesky left residual \S+ above its bound 1e-09$"):
+            smooth_kl(p, L, 1e6)
+        assert smooth_kl(p, L, 1e4).shape == (800, 3)
 
     def test_requires_unnormalized(self):
         g = graph_from_annotations([(0, 1)], n=2)

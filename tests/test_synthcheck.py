@@ -324,14 +324,18 @@ class TestConvergenceReport:
         with pytest.raises(InvalidParameter, match="n_grid is empty"):
             convergence_report(SyntheticSpec(), [], seeds=[0, 1])
 
-    @pytest.mark.parametrize("n_grid", [[0], [1, 40], [-5, 40]])
+    @pytest.mark.parametrize("n_grid", [[0], [1, 40], [-5, 40], [2.5, 3], [True, 40]])
     def test_grid_below_two_rejected(self, n_grid):
-        # n = 0 failed with a bare ZeroDivisionError in sigma_at
-        with pytest.raises(InvalidParameter, match=f"every n must be >= 2, got {n_grid[0]}"):
+        # n = 0 failed with a bare ZeroDivisionError in sigma_at, 2.5 with a
+        # TypeError in rng.uniform
+        rule = ">= 2" if type(n_grid[0]) is int else "of type int"
+        with pytest.raises(InvalidParameter, match=f"^every n must be {rule}, got {n_grid[0]}$"):
             convergence_report(SyntheticSpec(), n_grid, seeds=[0])
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, "0"])
+    @pytest.mark.parametrize("seed", [-1, 1.5, "0", True])
     def test_seed_not_a_non_negative_integer_rejected(self, seed):
-        # a negative seed failed with a bare ValueError in np.random.default_rng
-        with pytest.raises(InvalidParameter, match="every seed must be a non-negative integer"):
+        # a negative seed failed with a bare ValueError in np.random.default_rng;
+        # True ran as seed 1
+        rule = "a non-negative integer" if type(seed) is int else "of type int"
+        with pytest.raises(InvalidParameter, match=f"^every seed must be {rule}, got {seed!r}$"):
             convergence_report(SyntheticSpec(), [40, 80], seeds=[0, seed])
