@@ -195,7 +195,7 @@ def cmd_inductive(args) -> None:
     if args.out:
         io.write_matrix_csv(args.out, out[None, :])
     else:
-        print(",".join(io.format_float(v) for v in out))
+        io.write_rows(sys.stdout, ",", *out[:, None])
 
 
 def cmd_baseline(args) -> None:
@@ -242,7 +242,7 @@ def cmd_check_limits(args) -> None:
     columns = [np.array([r[name] for r in rows]) for name in names]
     with (open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout)) as fh:
         fh.write(",".join(names) + "\n")
-        io.write_rows(fh, ",".join(["%s", "%d"] + [io.FLOAT_FMT] * 5) + "\n", *columns)
+        io.write_rows(fh, ",", *columns)
 
 
 def _is_number(value) -> bool:

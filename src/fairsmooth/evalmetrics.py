@@ -101,7 +101,8 @@ def output_std(outputs: np.ndarray, subset: Sequence[int], column: int = 0) -> f
     idx = _integers(subset, "subset index", arr.shape[0])
     if idx.size == 0:
         raise EmptySubset("subset is empty")
-    column = _integers(column, "column", arr.shape[1])
+    # a real number and never a bool; _integers then takes 1.0 but not 0.5
+    column = _integers(check_type(column, "column", float), "column", arr.shape[1])
     return float(np.std(arr[idx, column]))
 
 
@@ -117,7 +118,7 @@ def group_gap(
     b = _integers(group_b, "group index", arr.shape[0])
     if a.size == 0 or b.size == 0:
         raise EmptySubset("both groups must be nonempty")
-    column = _integers(column, "column", arr.shape[1])
+    column = _integers(check_type(column, "column", float), "column", arr.shape[1])
     return float(np.mean(arr[a, column]) - np.mean(arr[b, column]))
 
 

@@ -21,7 +21,7 @@ from .errors import (
     ParseError,
     SelfLoop,
 )
-from .io import FLOAT_FMT, line_of_row, read_table, write_rows
+from .io import line_of_row, read_table, write_rows
 from .metric import FairMetricSpec, check_points, check_type, pair_fair_distances
 
 # weights this small cannot influence solutions beyond machine precision
@@ -203,7 +203,10 @@ def graph_from_annotations(pairs: Iterable[Tuple[int, int]], n: int) -> Similari
     """Binary similarity graph from integer annotator pairs; unordered, deduplicated."""
     if check_type(n, "n", int) < 1:
         raise InvalidParameter(f"n must be >= 1, got {n}")
-    p = np.array(list(pairs) or np.empty((0, 2)))
+    try:
+        p = np.array(list(pairs) or np.empty((0, 2)))
+    except ValueError:  # NumPy refuses pairs of different lengths
+        p = np.empty(0)
     if p.ndim != 2 or p.shape[1] != 2:
         raise InvalidParameter("annotator pairs must be (i, j) index pairs")
     # construction sums a repeated pair, so the weights are reset to 1 after it
@@ -229,7 +232,7 @@ def write_edge_list(g: SimilarityGraph, path) -> None:
     """Write the graph as TSV: header '# n=<n>' then 'i<TAB>j<TAB>w' lines."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# n={g.n}\n")
-        write_rows(fh, f"%d\t%d\t{FLOAT_FMT}\n", g.rows, g.cols, g.weights)
+        write_rows(fh, "\t", g.rows, g.cols, g.weights)
 
 
 def read_edge_list(path) -> SimilarityGraph:

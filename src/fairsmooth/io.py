@@ -10,7 +10,6 @@ float field bit for bit as ``float()`` reads it.
 import csv
 import functools
 import json
-import re
 import warnings
 from typing import List, Optional, Sequence, Tuple
 
@@ -21,7 +20,7 @@ from .errors import IndexOutOfRange, ParseError
 FLOAT_FMT = "%.17g"
 
 # rows per write: bounds the formatted text held at once
-WRITE_CHUNK = 4096
+WRITE_CHUNK = 16384
 
 
 def format_float(x: float) -> str:
@@ -140,25 +139,24 @@ def _comment_lines(path) -> List[Tuple[int, str]]:
     return notes
 
 
-def write_rows(fh, row_format: str, *columns) -> None:
-    """Write one ``row_format`` line per row of the parallel 1-D ``columns``.
+def write_rows(fh, delimiter: str, *columns) -> None:
+    """Write one line per row of the parallel 1-D ``columns``, its fields
+    joined by ``delimiter``.
 
-    The text is ``row_format % row`` for each row.  ``FLOAT_FMT`` and ``%d``
-    fields of numeric columns are formatted in bulk (see
-    :func:`_float_tokens`); any other field goes through ``%`` one value at a
-    time, and must not contain a NUL character.
+    A column's dtype picks its text: a float column is written as
+    ``FLOAT_FMT`` writes it and a bool or integer column as ``%d``, both
+    formatted in bulk (see :func:`_float_tokens`); any other column goes
+    through ``str`` one value at a time, and must not contain a NUL character.
     """
-    literals, specs = _parse_row_format(row_format)
-    if len(specs) != len(columns):
-        raise TypeError(f"row format {row_format!r} has {len(specs)} fields for {len(columns)} columns")
     columns = [np.asarray(column) for column in columns]
-    literals = [np.frombuffer(text.encode("utf-8"), dtype=np.uint8)[:, None] for text in literals]
+    sep, newline = _text_tokens([delimiter]), _text_tokens(["\n"])
     total = len(columns[0]) if columns else 0
     for start in range(0, total, WRITE_CHUNK):
         stop = min(start + WRITE_CHUNK, total)
-        parts = [literals[0]]
-        for spec, column, literal in zip(specs, columns, literals[1:]):
-            parts += [_tokens(spec, column[start:stop]), literal]
+        parts = []
+        for column in columns:
+            parts += [_tokens(column[start:stop]), sep]
+        parts[-1] = newline
         # one column per line, NUL-padded, so the text is the transpose without NULs
         lines = np.empty((sum(len(part) for part in parts), stop - start), dtype=np.uint8)
         at = 0
@@ -168,32 +166,14 @@ def write_rows(fh, row_format: str, *columns) -> None:
         fh.write(lines.T.tobytes().translate(None, b"\0").decode("utf-8"))
 
 
-_ROW_FIELD = re.compile(r"%%|%[^a-zA-Z%]*[a-zA-Z]")
-
-
-def _parse_row_format(row_format: str):
-    """The literal text around each conversion of ``row_format``, and the conversions."""
-    literals, specs, at = [""], [], 0
-    for match in _ROW_FIELD.finditer(row_format):
-        literals[-1] += row_format[at : match.start()]
-        if match.group() == "%%":
-            literals[-1] += "%"
-        else:
-            specs.append(match.group())
-            literals.append("")
-        at = match.end()
-    literals[-1] += row_format[at:]
-    return literals, specs
-
-
-def _tokens(spec: str, column: np.ndarray) -> np.ndarray:
+def _tokens(column: np.ndarray) -> np.ndarray:
     """The formatted fields of one chunk of a column, as a NUL-padded
     (width, m) uint8 array with one field per column."""
-    if column.dtype.kind in "biuf" and spec == FLOAT_FMT:
+    if column.dtype.kind == "f":
         return _float_tokens(column.astype(float, copy=False))
-    if column.dtype.kind in "iu" and spec == "%d":
+    if column.dtype.kind in "biu":
         return _int_tokens(column)
-    return _text_tokens([spec % v for v in column.tolist()])
+    return _text_tokens([str(v) for v in column.tolist()])
 
 
 def _text_tokens(texts) -> np.ndarray:
@@ -385,7 +365,7 @@ def write_matrix_csv(path, M: np.ndarray, header: bool = True) -> None:
         if M.shape[1] == 0:
             fh.write("\n" * M.shape[0])
         else:
-            write_rows(fh, ",".join([FLOAT_FMT] * M.shape[1]) + "\n", *M.T)
+            write_rows(fh, ",", *M.T)
 
 
 def read_pairs_tsv(path) -> np.ndarray:

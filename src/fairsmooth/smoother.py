@@ -350,15 +350,18 @@ def inductive_update(
     existing points, as a dense vector or a 1 x n scipy sparse row; the
     induced unnormalized-Laplacian row has the weight sum on the diagonal
     and -w_j off the diagonal.  Weights must be >= 0, as in a similarity
-    graph; they are not checked here, since that would cost a pass over n.
+    graph: a negative one raises InvalidParameter, at the cost of one pass
+    over the stored weights.
     ``yhat_new`` has one entry per column of an (n, K) ``f_fixed``, and one
     entry for a vector, for which the result is a scalar.
     """
     _check_lambda(lam)
     if sparse.issparse(new_weights):
-        w = new_weights.toarray().astype(float, copy=False).ravel()
+        row = new_weights.tocsr()
+        stored = row.data
+        w = row.toarray().astype(float, copy=False).ravel()
     else:
-        w = np.asarray(new_weights, dtype=float)
+        w = stored = np.asarray(new_weights, dtype=float)
     f = np.asarray(f_fixed, dtype=float)
     if f.ndim not in (1, 2):
         raise DimensionMismatch(f"fitted outputs have shape {f.shape}, expected a vector or an (n, K) array")
@@ -372,14 +375,16 @@ def inductive_update(
     y_new = np.atleast_1d(np.asarray(yhat_new, dtype=float))
     if y_new.shape != f.shape[1:]:
         raise DimensionMismatch(f"yhat_new has shape {y_new.shape}, expected {f.shape[1]} entries")
+    # -inf, like NaN and +inf, is left to the result check below
+    low = stored.min(initial=0.0)
+    if -np.inf < low < 0:
+        raise InvalidParameter(f"weights must be >= 0, got {low}")
     # a NaN or infinite weight, fitted output or yhat_new reaches the K
     # results, so checking them costs O(K), not another pass over n; the
-    # check stands in for NumPy's warnings
+    # check stands in for NumPy's warnings.  With lambda and the weights
+    # >= 0 the denominator is at least 1.
     with np.errstate(all="ignore"):
-        denom = 1.0 + lam * float(w.sum())
-        if denom <= 0:
-            raise ZeroDenominator("1 + lambda*degree <= 0 for the new point")
-        out = (y_new + lam * (w @ f)) / denom
+        out = (y_new + lam * (w @ f)) / (1.0 + lam * float(w.sum()))
     if not np.isfinite(out).all():
         raise InvalidParameter("inductive update is not finite: a weight, fitted output or yhat_new is NaN or inf")
     return out[0] if squeeze else out

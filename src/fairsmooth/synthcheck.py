@@ -85,8 +85,10 @@ def validate_sigma_rule(exponent: float, dimension: int) -> None:
 
 def sample_inputs(spec: SyntheticSpec, n: int, seed: int) -> np.ndarray:
     """n i.i.d. uniform draws from the unit cube; deterministic given seed."""
-    if n < 2:
+    if check_type(n, "n", int) < 2:
         raise InvalidParameter(f"n must be >= 2, got {n}")
+    if check_type(seed, "seed", int) < 0:
+        raise InvalidParameter(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     return rng.uniform(0.0, 1.0, size=(n, spec.dimension))
 

@@ -1,6 +1,7 @@
 import warnings
 from decimal import Decimal
 from io import StringIO
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -288,9 +289,9 @@ def _midpoint_tokens(rng, count):
     return tokens
 
 
-def _written(*columns, row_format=None):
+def _written(*columns, delimiter=","):
     buffer = StringIO()
-    io.write_rows(buffer, row_format or ",".join([io.FLOAT_FMT] * len(columns)) + "\n", *columns)
+    io.write_rows(buffer, delimiter, *columns)
     return buffer.getvalue()
 
 
@@ -322,12 +323,13 @@ class TestFloatText:
         assert calls == []
 
     def test_mixed_row_format(self):
+        # each column's dtype picks its text
         rng = np.random.default_rng(15)
         ints, words, x = rng.integers(-(10**12), 10**12, 50), ["a", "é", "g,h"] * 16 + ["", "z"], rng.normal(size=50)
+        flags = rng.uniform(size=50) < 0.5
         ints[:3] = [0, -1, 9]
-        row_format = "%d|%s|%%|%.17g\n"
-        expected = "".join(row_format % row for row in zip(ints.tolist(), words, x.tolist()))
-        assert _written(ints, words, x, row_format=row_format) == expected
+        expected = "".join("%d|%s|%.17g|%d\n" % row for row in zip(ints.tolist(), words, x.tolist(), flags.tolist()))
+        assert _written(ints, words, x, flags, delimiter="|") == expected
 
     def test_reads_match_float(self, tmp_path):
         rng = np.random.default_rng(16)
@@ -361,3 +363,13 @@ class TestFloatText:
             assert str(error.value) == f"{path}: {numpy_error.value}"
         else:
             assert str(error.value) == f"{path}:2: could not parse {f'1{chr(9)}{text}{chr(9)}0.5'!r}"
+
+
+def test_float_text_rule_lives_only_in_io():
+    # every other module writes floats through io.write_rows
+    package = Path(io.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name != "io.py":
+            text = path.read_text(encoding="utf-8")
+            for name in ("%.17g", "FLOAT_FMT", "format_float"):
+                assert name not in text, f"{path.name} names {name}"

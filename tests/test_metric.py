@@ -27,9 +27,9 @@ from fairsmooth import (
     violation_histogram,
 )
 from fairsmooth import metric as metric_mod
-from fairsmooth.evalmetrics import predicted_classes
+from fairsmooth.evalmetrics import group_gap, output_std, predicted_classes
 from fairsmooth.metric import PAIR_CHUNK, check_pairs, check_type, pair_fair_distances, pair_gaps
-from fairsmooth.synthcheck import kernel_weights
+from fairsmooth.synthcheck import kernel_weights, sample_inputs
 from fairsmooth.errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -462,11 +462,15 @@ BAD_SCALARS = [
     (lambda v: SimilarityGraph(v, [], [], []), True, "n"),
     (lambda v: graph_from_annotations([(0, 1)], n=v), 2.5, "n"),
     (lambda v: graph_from_annotations(v, n=3), [(0.5, 1.7)], "edge indices"),
+    (lambda v: graph_from_annotations(v, n=3), [(0, 1), (2,)], "annotator pairs"),
     (lambda v: build_similarity_graph(X2, EUCLID, theta=v), "1", "theta"),
     (lambda v: build_similarity_graph(X2, EUCLID, tau=v), True, "tau"),
     (lambda v: SyntheticSpec(dimension=v), 1.5, "dimension"),
     (lambda v: SyntheticSpec(sigma_exponent=v), "0.1", "sigma_exponent"),
     (lambda v: kernel_weights(X2, v, np.eye(1)), True, "sigma"),
+    (lambda v: sample_inputs(SyntheticSpec(), v, 0), 2.5, "n"),
+    (lambda v: sample_inputs(SyntheticSpec(), 5, v), -1, "seed"),
+    (lambda v: sample_inputs(SyntheticSpec(), 5, v), 1.5, "seed"),
     (lambda v: project_pair(0.0, 1.0, v), True, "bound"),
     (lambda v: constraints_from_distances([(0, 1, 1.0)], v), "1", "lipschitz"),
     (lambda v: count_violations(Y2, [(0, 1, 0.5)], slack=v), True, "slack"),
@@ -474,6 +478,8 @@ BAD_SCALARS = [
     (lambda v: violation_histogram(Y2, [(0, 1, 1.0)], 1.0, num_bins=v), 2.0, "num_bins"),
     (lambda v: predicted_classes(Y2, v), "0.5", "threshold"),
     (lambda v: accuracy(Y2, [0, 1], v), True, "threshold"),
+    (lambda v: output_std(Y2, [0, 1], column=v), True, "column"),
+    (lambda v: group_gap(np.ones((3, 2)), [0], [1], column=v), True, "column"),
 ]
 
 

@@ -372,6 +372,12 @@ class TestInductive:
         with pytest.raises(InvalidParameter, match="not finite"):
             inductive_update(f, w, y_new, lam=lam)
 
+    @pytest.mark.parametrize("as_row", [np.asarray, sparse.csr_matrix, sparse.csc_matrix])
+    def test_negative_weight_rejected(self, as_row):
+        # the update was -0.667, outside the range of the fitted outputs and yhat_new
+        w = as_row(np.array([-0.4, 0.0]))
+        with pytest.raises(InvalidParameter, match="^weights must be >= 0, got -0.4$"):
+            inductive_update(np.array([1.0, 5.0]), w, 0.0, 1.0)
 
     def test_opposite_infinite_weights_rejected(self):
         # their sum is NaN, which NumPy warned about before the result check
