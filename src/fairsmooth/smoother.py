@@ -7,9 +7,10 @@ The post-processing objective is
 whose exact minimizer is f = (I + lambda * (L + L^T)/2)^{-1} yhat, solved
 column-by-column with one shared symmetric factorization or, for the
 unnormalized Laplacian, by a certified preconditioned conjugate gradient on
-the sparse matrix.  A Gauss-Seidel coordinate-descent solver covers
-random-walk instances too large to factorize, and a single coordinate step
-extends the method to unseen points.
+the sparse matrix, one column per thread on up to min(K, usable cores)
+threads with results that do not depend on the thread count.  Gauss-Seidel
+coordinate descent covers random-walk instances too large to factorize,
+and a single coordinate step extends the method to unseen points.
 
 For probability outputs, the same quadratic solve runs in the
 natural-parameter space eta_j = log(p_j / p_K): by the exponential-family
@@ -21,7 +22,10 @@ lambda of :func:`smooth_kl` plays exactly the same role as in the squared
 mode.
 """
 
+import contextvars
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -184,92 +188,87 @@ def smooth_conjugate_gradient(
     """Certified minimizer (I + lambda * L)^{-1} yhat for the unnormalized kind.
 
     Jacobi-preconditioned conjugate gradient (preconditioner
-    1 / (1 + lambda * L_ii)) runs all output columns in lockstep, one sparse
-    product ``L.matrix @ p_k`` per column still iterating, without forming
-    I + lambda * L.  The columns never mix: each column of a K-column
-    solve is its one-column solve bit for bit (the iteration cap is shared).
-    A column stops iterating once its recurrence residual meets its bound;
-    the result is returned only when the recomputed residual
-    r = f - yhat + lambda * L f satisfies
-    ||r_k||_inf <= tolerance * max(1, ||yhat_k||_inf) in every column k.
+    1 / (1 + lambda * L_ii)) solves each output column on its own in
+    O(nnz(L)) + O(nK) memory, without forming I + lambda * L.  The columns
+    run concurrently on up to min(K, usable cores) threads; each is its
+    one-column solve bit for bit, whatever the thread count.  A column
+    stops iterating once its recurrence residual meets its bound, and
+    restarts if the recomputed residual r = f - yhat + lambda * L f does
+    not satisfy ||r_k||_inf <= tolerance * max(1, ||yhat_k||_inf).
     I + lambda * (D - W) is strictly diagonally dominant with a margin of 1
     in every row, so ||(I + lambda * L)^{-1}||_inf <= 1 (Varah, 1975) and
-    that residual bounds the error ||f - f*||_inf.  Columns that fail the
-    recomputed test restart from it.  NotConverged is raised after
+    that residual bounds the error ||f - f*||_inf.  A column fails after
     CG_ITERATION_CAP times the iteration bound of ``_cg_iteration_bound``,
-    or at once when no failing column can take a step.
-    With ``return_info`` the lockstep iteration count and the certified
-    residual max |f - yhat + lambda * L f| are returned as well.
+    a cap per column, or at once when it cannot take a step; once every
+    column has finished, the lowest-index failure raises NotConverged.
+    ``return_info`` adds the largest per-column iteration count and the
+    certified residual max |f - yhat + lambda * L f|.
     """
     if L.kind != UNNORMALIZED:
         raise InvalidParameter("conjugate gradient requires the unnormalized laplacian")
     _check_lambda(lam)
     _check_tolerance(tolerance)
     y = check_outputs(yhat, L.n)
-    if lam == 0.0:
+    if lam == 0.0 or y.size == 0:
         f, iterations, residual = y.copy(), 0, 0.0
     else:
         cap = CG_ITERATION_CAP * _cg_iteration_bound(L, lam, tolerance)
-        f, iterations, residual = _pcg(y, L.matrix, L.diagonal, lam, _column_bounds(y, tolerance), cap)
+        inv_diag, bound = 1.0 / (1.0 + lam * L.diagonal), _column_bounds(y, tolerance)
+        columns, counts, residuals = zip(*_each_column(
+            lambda k: _pcg(k, np.ascontiguousarray(y[:, k]), L.matrix, inv_diag, lam, bound[k], cap), y.shape[1]
+        ))
+        f, iterations, residual = np.column_stack(columns), max(counts), max(residuals)
     out = restore_shape(f, yhat)
     if return_info:
         return out, {"iterations": iterations, "residual": residual}
     return out
 
 
-def _pcg(y, A, diag, lam, bound, cap):
-    """Jacobi-preconditioned CG from f = y; returns (f, iterations, residual).
+def _each_column(solve, K):
+    """[solve(0), ..., solve(K - 1)], column 0 on the calling thread and the
+    others on min(K, usable cores) - 1 workers, each in a copy of the caller's
+    context (NumPy's error state); all finish before any exception propagates."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    workers = min(K, len(affinity(0)) if affinity else os.cpu_count() or 1) - 1
+    if not workers:
+        return [solve(k) for k in range(K)]
+    with ThreadPoolExecutor(workers) as pool:
+        rest = [pool.submit(contextvars.copy_context().run, solve, k) for k in range(1, K)]
+        return [solve(0)] + [column.result() for column in rest]
 
-    ``residual`` is max |y - f - lambda * A f|, recomputed for the returned f.
 
-    The iterates are (K, n) arrays, one contiguous row per output column,
-    so every per-column reduction runs along a contiguous axis and L is
-    applied one column at a time.  Columns whose residual is within
-    ``bound``, or whose r.z or p.Ap is no longer a normal positive number
-    (an all-zero column from the start, a residual near underflow later),
-    are frozen with a zero search direction, so no 0/0 or overflow reaches
-    f; L is not applied to them.
-    """
-    inv_diag = 1.0 / (1.0 + lam * diag)
+def _pcg(k, y, A, inv_diag, lam, bound, cap):
+    """Jacobi-preconditioned CG on column k from f = y; returns (f, iterations,
+    max |y - f - lambda * A f|).  A column whose r.z is not a normal positive
+    number (an all-zero column, a residual near underflow) takes no step, so
+    no 0/0 or overflow reaches f; a step whose p.Ap is not one adds 0 * p,
+    which turns a -0.0 entry of f into +0.0, and ends the inner loop."""
     tiny = np.finfo(float).tiny
-    y = np.ascontiguousarray(y.T)
-    f = y.copy()
-    iterations = 0
+    f, iterations = y.copy(), 0
     while True:
-        r = np.empty_like(f)
-        for k in range(len(f)):
-            r[k] = y[k] - f[k] - lam * (A @ f[k])
-        residual = np.max(np.abs(r), axis=1, initial=0.0)
+        r = y - f - lam * (A @ f)
+        residual = float(np.max(np.abs(r), initial=0.0))
         # written so that a NaN residual never passes
-        failing = ~(residual <= bound)
-        if not failing.any():
-            return np.ascontiguousarray(f.T), iterations, float(np.max(residual, initial=0.0))
+        if residual <= bound:
+            return f, iterations, residual
         z = inv_diag * r
-        rz = np.sum(r * z, axis=1)
-        active = failing & (rz >= tiny)
-        if iterations >= cap or not active.any():
-            raise NotConverged(
-                f"conjugate gradient residual {np.max(residual):.3g} above its bound after {iterations} iterations"
-            )
-        p = np.where(active[:, None], z, 0.0)
-        while active.any() and iterations < cap:
-            # a frozen column's p is +0, and so is its p + lambda * L p;
-            # its f is left as it is, so a -0.0 entry stays -0.0
-            stepping = active.copy()
-            q = np.zeros_like(p)
-            for k in np.flatnonzero(stepping):
-                q[k] = p[k] + lam * (A @ p[k])
-            pq = np.sum(p * q, axis=1)
-            active &= pq >= tiny
-            alpha = np.divide(rz, pq, out=np.zeros_like(rz), where=active)[:, None]
-            np.add(f, alpha * p, out=f, where=stepping[:, None])
+        rz = np.sum(r * z)
+        if iterations >= cap or not rz >= tiny:
+            raise NotConverged(f"conjugate gradient column {k}: residual {residual:.3g} above its bound "
+                               f"{bound:.3g} after {iterations} iterations")
+        p = z
+        while iterations < cap:
+            q = p + lam * (A @ p)
+            pq = np.sum(p * q)
+            alpha = rz / pq if pq >= tiny else 0.0
+            f += alpha * p
             r -= alpha * q
             iterations += 1
-            np.multiply(inv_diag, r, out=z)
-            rz_next = np.sum(r * z, axis=1)
-            active &= (np.max(np.abs(r), axis=1) > bound) & (rz_next >= tiny)
-            beta = np.divide(rz_next, rz, out=np.zeros_like(rz), where=active)[:, None]
-            p = np.where(active[:, None], z + beta * p, 0.0)
+            z = inv_diag * r
+            rz_next = np.sum(r * z)
+            if not (pq >= tiny and np.max(np.abs(r)) > bound and rz_next >= tiny):
+                break
+            p = z + (rz_next / rz) * p
             rz = rz_next
 
 
@@ -497,9 +496,10 @@ def run_smoothing(yhat: np.ndarray, g: SimilarityGraph, config: SmoothingConfig)
     Cholesky factorization up to ``DENSE_LIMIT`` and falls back to
     coordinate descent above it, noted as ``fallback_to_cd``; an indefinite
     I + lambda * sym(L) raises NotPositiveDefinite.  The metadata names the
-    ``solver`` that ran, its ``iterations`` (CG iterations, CD epochs, 0 for
-    Cholesky), the ``residual`` max |f - y + lambda sym(L) f| and whether
-    it ``converged``: |r_k| <= tolerance * max(1, |y_k|) in every column k.
+    ``solver`` that ran, its ``iterations`` (the largest per-column CG
+    iteration count, CD epochs, 0 for Cholesky), the ``residual``
+    max |f - y + lambda sym(L) f| and whether it ``converged``:
+    |r_k| <= tolerance * max(1, |y_k|) in every column k.
     A result that did not converge is returned, flagged; conjugate gradient
     raises NotConverged instead.
     """

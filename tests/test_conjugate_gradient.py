@@ -7,8 +7,12 @@ margin 1, so ||A^{-1}||_inf <= 1 and any f's error is at most its residual:
 reference's own residual, plus the rounding of evaluating both residuals.
 """
 
+import os
+import threading
+
 import numpy as np
 import pytest
+from scipy import sparse
 
 from fairsmooth import (
     FairMetricSpec,
@@ -34,6 +38,59 @@ def kdtree_graph(n, seed, box=5.0, dim=3, tau=1.0):
     """Points uniform in [0, box]^dim joined within Euclidean distance tau."""
     X = np.random.default_rng(seed).uniform(0.0, box, size=(n, dim))
     return build_similarity_graph(X, EUCLID, theta=1.0, tau=tau)
+
+
+def reference_pcg(y, A, diag, lam, bound, cap):
+    """Jacobi-preconditioned CG stepping all columns of an (n, K) table in
+    lockstep on one thread: the bit-for-bit reference for
+    smooth_conjugate_gradient.
+
+    The iterates are (K, n) rows; a column is frozen with a zero search
+    direction once its residual is within its ``bound`` or its r.z or p.Ap
+    is no longer a normal positive number.  ``cap`` bounds the shared
+    iteration count.  Returns (f, iterations, residual).
+    """
+    inv_diag = 1.0 / (1.0 + lam * diag)
+    tiny = np.finfo(float).tiny
+    y = np.ascontiguousarray(y.T)
+    f = y.copy()
+    iterations = 0
+    while True:
+        r = np.empty_like(f)
+        for k in range(len(f)):
+            r[k] = y[k] - f[k] - lam * (A @ f[k])
+        residual = np.max(np.abs(r), axis=1, initial=0.0)
+        failing = ~(residual <= bound)
+        if not failing.any():
+            return np.ascontiguousarray(f.T), iterations, float(np.max(residual, initial=0.0))
+        z = inv_diag * r
+        rz = np.sum(r * z, axis=1)
+        active = failing & (rz >= tiny)
+        if iterations >= cap or not active.any():
+            raise NotConverged(f"reference residual above its bound after {iterations} iterations")
+        p = np.where(active[:, None], z, 0.0)
+        while active.any() and iterations < cap:
+            stepping = active.copy()
+            q = np.zeros_like(p)
+            for k in np.flatnonzero(stepping):
+                q[k] = p[k] + lam * (A @ p[k])
+            pq = np.sum(p * q, axis=1)
+            active &= pq >= tiny
+            alpha = np.divide(rz, pq, out=np.zeros_like(rz), where=active)[:, None]
+            np.add(f, alpha * p, out=f, where=stepping[:, None])
+            r -= alpha * q
+            iterations += 1
+            np.multiply(inv_diag, r, out=z)
+            rz_next = np.sum(r * z, axis=1)
+            active &= (np.max(np.abs(r), axis=1) > bound) & (rz_next >= tiny)
+            beta = np.divide(rz_next, rz, out=np.zeros_like(rz), where=active)[:, None]
+            p = np.where(active[:, None], z + beta * p, 0.0)
+            rz = rz_next
+
+
+def usable_cores(monkeypatch, cores):
+    """Make the solver see ``cores`` usable cores."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
 
 
 def dense_reference(L, lam, y):
@@ -83,8 +140,8 @@ def test_rerun_byte_identical(graph_1500):
 
 
 def test_columns_solve_independently(graph_1500):
-    # lockstep columns never mix: a K-column solve is K one-column solves,
-    # down to the sign of a zero column's entries
+    # a K-column solve is K one-column solves, down to the sign of a zero
+    # column's entries
     L = make_laplacian(graph_1500, UNNORMALIZED)
     rng = np.random.default_rng(10)
     y = np.column_stack([rng.normal(size=1500), 1e3 * rng.uniform(size=1500), np.full(1500, -0.0)])
@@ -92,6 +149,89 @@ def test_columns_solve_independently(graph_1500):
     for k in range(3):
         assert f[:, k].tobytes() == smooth_conjugate_gradient(y[:, k], L, 2.0, TOL).tobytes()
     assert np.all(np.signbit(f[:, 2]))
+
+
+@pytest.mark.parametrize("lam", [0.5, 2.0, 100.0])
+@pytest.mark.parametrize("k", [1, 4])
+def test_matches_reference_pcg(graph_1500, lam, k):
+    # a normal, a 1e3-scaled, a -0.0 and an all-zero column
+    L = make_laplacian(graph_1500, UNNORMALIZED)
+    rng = np.random.default_rng(11)
+    y = np.column_stack([rng.normal(size=1500), 1e3 * rng.uniform(size=1500), np.full(1500, -0.0), np.zeros(1500)])
+    y = y[:, :k]
+    f, info = smooth_conjugate_gradient(y, L, lam, TOL, return_info=True)
+    cap = smoother.CG_ITERATION_CAP * smoother._cg_iteration_bound(L, lam, TOL)
+    ref, iterations, residual = reference_pcg(y, L.matrix, L.diagonal, lam, smoother._column_bounds(y, TOL), cap)
+    assert f.tobytes() == ref.tobytes()
+    assert (info["iterations"], info["residual"]) == (iterations, residual)
+    assert iterations > 0
+
+
+def test_underflowing_step_matches_reference():
+    # with I + lam * A = 1e-10 * I and no preconditioning, p.Ap underflows on
+    # every step while r.z does not: both solvers take each step with
+    # alpha = 0, leaving f as it is, until the cap
+    n, lam = 6, 2.0
+    A = sparse.diags(np.full(n, -(1.0 - 1e-10) / lam)).tocsr()
+    y = 1e-150 * np.array([1.0, -2.0, -0.0, 3.0, 0.5, -1.0])
+    bound, cap = 1e-300, 7
+    with pytest.raises(NotConverged, match="after 7 iterations"):
+        reference_pcg(y[:, None], A, np.zeros(n), lam, np.array([bound]), cap)
+    with pytest.raises(NotConverged, match="after 7 iterations"):
+        smoother._pcg(0, y, A, np.ones(n), lam, bound, cap)
+
+
+def test_core_count_does_not_change_result(graph_1500, monkeypatch):
+    L = make_laplacian(graph_1500, UNNORMALIZED)
+    y = np.random.default_rng(12).normal(size=(1500, 3)) * [1.0, 1e-3, 1e3]
+    results = set()
+    for cores in (1, 2, 8):
+        usable_cores(monkeypatch, cores)
+        f, info = smooth_conjugate_gradient(y, L, 2.0, TOL, return_info=True)
+        results.add((f.tobytes(), info["iterations"], info["residual"]))
+    assert len(results) == 1
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_caller_errstate_holds_in_every_column(graph_1500, monkeypatch, cores):
+    # r.z of the 1e300-scaled column overflows; under the caller's
+    # over="raise" that raises in the column's own thread too
+    usable_cores(monkeypatch, cores)
+    L = make_laplacian(graph_1500, UNNORMALIZED)
+    rng = np.random.default_rng(13)
+    y = np.column_stack([rng.normal(size=1500), 1e300 * rng.normal(size=1500)])
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        smooth_conjugate_gradient(y, L, 2.0, TOL)
+
+
+@pytest.mark.parametrize("cores", [1, 2, 8])
+def test_no_thread_outlives_a_solve(monkeypatch, cores):
+    usable_cores(monkeypatch, cores)
+    L = make_laplacian(kdtree_graph(40, seed=6, box=2.0, dim=2), UNNORMALIZED)
+    y = np.random.default_rng(14).normal(size=(40, 3))
+    before = threading.active_count()
+    smooth_conjugate_gradient(y, L, 2.0, TOL)
+    assert threading.active_count() == before
+    with pytest.raises(NotConverged):
+        smooth_conjugate_gradient(y, L, 2.0, 1e-300)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_lowest_failing_column_raised(monkeypatch, cores):
+    # both columns miss a 1e-300 bound; column 0's failure is raised, the same
+    # message on every run and core count
+    usable_cores(monkeypatch, cores)
+    g = kdtree_graph(40, seed=6, box=2.0, dim=2)
+    L = make_laplacian(g, UNNORMALIZED)
+    y = np.random.default_rng(15).normal(size=(40, 2))
+    messages = set()
+    for _ in range(3):
+        with pytest.raises(NotConverged, match=r"^conjugate gradient column 0: residual \S+ above its bound "
+                           r"\S+ after \d+ iterations$") as raised:
+            smooth_conjugate_gradient(y, L, 1.0, 1e-300)
+        messages.add(str(raised.value))
+    assert len(messages) == 1
 
 
 def test_kl_through_run_smoothing(graph_1500):
