@@ -47,8 +47,10 @@ class SimilarityGraph:
     order.  A self-loop raises SelfLoop, an index outside 0..n-1
     IndexOutOfRange, and a negative n, an n above MAX_NODES, or a weight
     that is not finite and >= 0 InvalidParameter.  Contiguous int64/float64
-    arrays already in that form are kept as they are, without a copy.
-    Graphs compare and hash by identity.
+    arrays already in that form are kept as they are, without a copy; such
+    arrays must not be changed afterward, because the Laplacians built for
+    the graph and kept with it will not follow them.  Graphs compare and
+    hash by identity.
     """
 
     n: int
@@ -57,6 +59,8 @@ class SimilarityGraph:
     weights: np.ndarray
 
     def __post_init__(self):
+        # Laplacians by kind, filled by laplacian.make_laplacian; not a field
+        object.__setattr__(self, "_laplacians", {})
         if check_type(self.n, "n", int) < 0:
             raise InvalidParameter(f"n must be >= 0, got {self.n}")
         if self.n > MAX_NODES:

@@ -30,8 +30,10 @@ class LaplacianOperator:
     """L as ``matrix`` and its symmetrization (L + L^T) / 2 as ``sym``.
 
     Both are CSR with sorted indices, built once with the operator; for the
-    unnormalized kind ``sym`` is ``matrix`` itself.  Operators compare and
-    hash by identity.
+    unnormalized kind ``sym`` is ``matrix`` itself.  :func:`make_laplacian`
+    shares one operator among all its callers on a graph, so the arrays of
+    both matrices and ``diagonal`` are read-only: a write in place raises
+    ValueError.  Operators compare and hash by identity.
     """
 
     kind: str
@@ -39,10 +41,17 @@ class LaplacianOperator:
     matrix: sparse.csr_matrix
     sym: sparse.csr_matrix
 
+    def __post_init__(self):
+        for M in (self.matrix, self.sym):
+            for a in (M.data, M.indices, M.indptr):
+                a.flags.writeable = False
+
     @cached_property
     def diagonal(self) -> np.ndarray:
-        """The diagonal of ``matrix``, read once per operator."""
-        return self.matrix.diagonal()
+        """The diagonal of ``matrix``, read once per operator; read-only."""
+        d = self.matrix.diagonal()
+        d.flags.writeable = False
+        return d
 
     def symmetrized(self) -> sparse.csr_matrix:
         """(L + L^T) / 2 as CSR; equals ``matrix`` for the unnormalized kind."""
@@ -94,11 +103,24 @@ def normalized_rw_laplacian(g: SimilarityGraph) -> LaplacianOperator:
 
 
 def make_laplacian(g: SimilarityGraph, kind: str) -> LaplacianOperator:
-    if kind == UNNORMALIZED:
-        return unnormalized_laplacian(g)
-    if kind == NORMALIZED_RW:
-        return normalized_rw_laplacian(g)
-    raise InvalidParameter(f"unknown laplacian kind {kind!r}")
+    """The ``kind`` Laplacian of ``g``, built on first use and kept with ``g``.
+
+    Every later call on the same graph returns the same operator, so
+    repeated solves on one graph build each kind once; the operator is
+    shared and read-only, and it is freed with the graph.
+    """
+    built = g._laplacians
+    L = built.get(kind)
+    if L is None:
+        if kind == UNNORMALIZED:
+            L = unnormalized_laplacian(g)
+        elif kind == NORMALIZED_RW:
+            L = normalized_rw_laplacian(g)
+        else:
+            raise InvalidParameter(f"unknown laplacian kind {kind!r}")
+        # two threads building at once both return the one kept
+        L = built.setdefault(kind, L)
+    return L
 
 
 def _check_rows(L: LaplacianOperator, f: np.ndarray) -> np.ndarray:

@@ -1,17 +1,26 @@
+import dataclasses
+import json
+import sys
+import threading
+import weakref
+
 import numpy as np
 import pytest
 from scipy import sparse
 
 from fairsmooth import (
     FairMetricSpec,
+    SmoothingConfig,
     apply_symmetrized,
     build_similarity_graph,
     graph_from_annotations,
     normalized_rw_laplacian,
     quadratic_form,
+    run_smoothing,
+    smoother,
     unnormalized_laplacian,
 )
-from fairsmooth.errors import DimensionMismatch
+from fairsmooth.errors import DimensionMismatch, InvalidParameter
 from fairsmooth.graph import SimilarityGraph
 from fairsmooth.laplacian import KINDS, NORMALIZED_RW, UNNORMALIZED, make_laplacian
 
@@ -229,11 +238,15 @@ def coo_adjacency(n, rows, cols, weights):
 
 
 def coo_laplacian(g, kind, monkeypatch, edges=None):
-    """The Laplacian built from the COO adjacency of ``edges``, g's own by default."""
+    """The Laplacian built from the COO adjacency of ``edges``, g's own by default.
+
+    It is built on a fresh graph over g's arrays: make_laplacian keeps the
+    operator it built for g, and would return that one again.
+    """
     edges = (g.rows, g.cols, g.weights) if edges is None else edges
     with monkeypatch.context() as m:
         m.setattr(SimilarityGraph, "adjacency", lambda self: coo_adjacency(self.n, *edges))
-        return make_laplacian(g, kind)
+        return make_laplacian(SimilarityGraph(g.n, g.rows, g.cols, g.weights), kind)
 
 
 def csr_arrays(M):
@@ -328,3 +341,107 @@ class TestAdjacencyBuild:
         assert_same_csr(make_laplacian(g, kind).matrix, coo_laplacian(g, kind, monkeypatch).matrix)
         W = coo_adjacency(g.n, g.rows, g.cols, g.weights)
         assert np.array_equal(g.adjacency().toarray(), W.toarray())
+
+
+def tau_graph(n, seed):
+    X = np.random.default_rng(seed).uniform(0.0, np.sqrt(n) / 4, size=(n, 2))
+    return build_similarity_graph(X, EUCLID, theta=1.0, tau=1.0)
+
+
+class TestKeptOperator:
+    """make_laplacian builds each kind once per graph and keeps it with the graph."""
+
+    def test_one_operator_per_graph_and_kind(self):
+        g = tau_graph(60, seed=20)
+        un, rw = make_laplacian(g, UNNORMALIZED), make_laplacian(g, NORMALIZED_RW)
+        assert make_laplacian(g, UNNORMALIZED) is un and make_laplacian(g, NORMALIZED_RW) is rw
+        assert un is not rw and un.kind == UNNORMALIZED and rw.kind == NORMALIZED_RW
+
+    def test_not_a_field(self):
+        g = tau_graph(30, seed=21)
+        L = make_laplacian(g, UNNORMALIZED)
+        assert [f.name for f in dataclasses.fields(g)] == ["n", "rows", "cols", "weights"]
+        assert "_laplacians" not in repr(g)
+        assert make_laplacian(dataclasses.replace(g), UNNORMALIZED) is not L
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_new_graph_over_the_same_arrays_builds_its_own(self, kind):
+        g = tau_graph(60, seed=22)
+        L = make_laplacian(g, kind)
+        other = SimilarityGraph(g.n, g.rows, g.cols, g.weights)
+        assert np.shares_memory(other.weights, g.weights)  # kept without a copy
+        M = make_laplacian(other, kind)
+        assert M is not L
+        assert_same_csr(M.matrix, L.matrix)
+        assert_same_csr(M.sym, L.sym)
+
+    def test_unknown_kind_keeps_nothing(self):
+        g = tau_graph(20, seed=23)
+        with pytest.raises(InvalidParameter):
+            make_laplacian(g, "sym")
+        assert g._laplacians == {}
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_every_array_is_read_only(self, kind):
+        L = make_laplacian(tau_graph(60, seed=24), kind)
+        for a in csr_arrays(L.matrix) + csr_arrays(L.sym) + [L.diagonal]:
+            assert a.size and not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = a[0]
+            with pytest.raises(ValueError):
+                a *= 1
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_freed_with_the_graph(self, kind):
+        g = tau_graph(60, seed=25)
+        ref = weakref.ref(make_laplacian(g, kind))
+        assert ref() is not None
+        del g
+        assert ref() is None
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_threads_building_at_once_share_one_operator(self, kind):
+        g = tau_graph(400, seed=28)
+        start = threading.Barrier(8)
+        results = []
+
+        def build():
+            start.wait(timeout=10)
+            results.append(make_laplacian(g, kind))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(results) == 8 and all(L is g._laplacians[kind] for L in results)
+
+    def test_repeated_solves_match_solves_on_fresh_graphs(self, monkeypatch):
+        # large_graph_solve's order and solvers, at a size that runs in a
+        # second: CG, the random-walk CD fallback, KL by CG, CG again
+        monkeypatch.setattr(smoother, "DENSE_LIMIT", 100)
+        g = tau_graph(600, seed=26)
+        rng = np.random.default_rng(27)
+        y, P = rng.uniform(size=g.n), rng.dirichlet(np.ones(3), size=g.n)
+        solves = [
+            (y, SmoothingConfig(lam=1.0)),
+            (y, SmoothingConfig(lam=1.0, laplacian_kind=NORMALIZED_RW)),
+            (P, SmoothingConfig(lam=1.0, discrepancy="kl")),
+            (y, SmoothingConfig(lam=1.0)),
+        ]
+        solvers = []
+        for yhat, config in solves:
+            f, meta = run_smoothing(yhat, g, config)
+            fresh = SimilarityGraph(g.n, g.rows, g.cols, g.weights)
+            f_ref, meta_ref = run_smoothing(yhat, fresh, config)
+            assert f.dtype == f_ref.dtype and f.tobytes() == f_ref.tobytes()
+            assert json.dumps(meta, sort_keys=True) == json.dumps(meta_ref, sort_keys=True)
+            solvers.append(meta["solver"])
+        assert solvers == ["cg", "coordinate_descent", "cg", "cg"]
+        assert set(g._laplacians) == set(KINDS)

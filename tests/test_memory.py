@@ -65,13 +65,30 @@ def test_run_smoothing_below_one_dense_array(sparse_problem):
     assert peak < DENSE_BYTES
 
 
+def fresh(g):
+    """A graph over g's arrays that has built no Laplacian yet."""
+    return SimilarityGraph(g.n, g.rows, g.cols, g.weights)
+
+
 def test_run_smoothing_within_a_multiple_of_laplacian_bytes(sparse_problem):
+    # a cold run: the traced window holds the Laplacian's build
     g, y = sparse_problem
     L = make_laplacian(g, UNNORMALIZED).matrix
     csr_bytes = L.data.nbytes + L.indices.nbytes + L.indptr.nbytes
-    (_, meta), peak = peak_bytes(lambda: run_smoothing(y, g, SmoothingConfig(lam=1.0)))
+    cold = fresh(g)
+    (_, meta), peak = peak_bytes(lambda: run_smoothing(y, cold, SmoothingConfig(lam=1.0)))
     assert meta["solver"] == "cg" and meta["converged"]
     assert peak <= CSR_MULTIPLE * csr_bytes
+
+
+def test_warm_run_smoothing_peaks_below_the_cold_run(sparse_problem):
+    # the second solve on a graph reuses the Laplacian the first one built
+    g, y = sparse_problem
+    g = fresh(g)
+    (f, _), cold = peak_bytes(lambda: run_smoothing(y, g, SmoothingConfig(lam=1.0)))
+    (f_warm, _), warm = peak_bytes(lambda: run_smoothing(y, g, SmoothingConfig(lam=1.0)))
+    assert f_warm.tobytes() == f.tobytes()
+    assert warm < cold
 
 
 def test_smooth_kl_above_dense_limit_far_below_one_dense_array():
