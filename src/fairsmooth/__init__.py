@@ -19,8 +19,6 @@ from .evalmetrics import (
     GroupedPredictions,
     accuracy,
     balanced_accuracy,
-    group_gap,
-    output_std,
     prediction_consistency,
     violation_histogram,
 )
@@ -37,7 +35,6 @@ from .laplacian import (
     LaplacianOperator,
     apply_symmetrized,
     normalized_rw_laplacian,
-    quadratic_form,
     unnormalized_laplacian,
 )
 from .metric import (
@@ -64,7 +61,6 @@ from .synthcheck import (
     convergence_report,
     empirical_nrw_functional,
     empirical_un_functional,
-    kernel_graph,
     sample_inputs,
 )
 

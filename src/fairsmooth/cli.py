@@ -4,8 +4,8 @@ Subcommands: ``graph build``, ``smooth``, ``smooth inductive``,
 ``baseline project``, ``eval``, ``check limits``, ``aggregate``.  Every
 subcommand is deterministic given its flags, input files, and seed.
 
-Exit codes: 0 success, 1 validation error, 2 numerical failure; errors are
-reported as one machine-parsable line on standard error.
+Exit codes: 0 success, 1 validation or usage error, 2 numerical failure;
+errors are reported as one machine-parsable line on standard error.
 """
 
 import argparse
@@ -29,8 +29,16 @@ from .errors import (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a ParseError, so it exits 1 with one stderr line;
+    subparsers are built from this class too."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fairsmooth",
         description="Graph-smoothing post-processing for individually fair predictions.",
     )
@@ -281,9 +289,8 @@ def main(argv=None) -> int:
     # allow the documented two-word form "smooth inductive"
     if argv[:2] == ["smooth", "inductive"]:
         argv = ["smooth-inductive"] + argv[2:]
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         args.func(args)
     except OSError as exc:
         detail = f"missing file {exc.filename}" if isinstance(exc, FileNotFoundError) else exc

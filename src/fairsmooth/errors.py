@@ -56,10 +56,6 @@ class EmptyGroup(ValidationError):
     pass
 
 
-class EmptySubset(ValidationError):
-    pass
-
-
 class NoLabels(ValidationError):
     pass
 

@@ -9,36 +9,25 @@ Every function reads model outputs through :func:`check_outputs`.
 """
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (
-    EmptyGroup,
-    EmptyPairs,
-    EmptySubset,
-    IndexOutOfRange,
-    InvalidParameter,
-    NoLabels,
-)
+from .errors import EmptyGroup, EmptyPairs, InvalidParameter, NoLabels
 from .metric import check_outputs, check_pairs, check_type, pair_gaps
 
 DEFAULT_THRESHOLD = 0.5
 
 
-def _integers(values, what: str, n: Optional[int] = None) -> np.ndarray:
+def _integers(values, what: str) -> np.ndarray:
     """``values`` as int64, or InvalidParameter naming the first that is not
-    an integer; with ``n``, IndexOutOfRange for the first outside 0..n-1."""
+    an integer."""
     v = np.asarray(values, dtype=float)
     with np.errstate(invalid="ignore"):  # NaN and huge values cast to garbage, caught below
         ints = v.astype(np.int64)
     bad = ints != v
     if bad.any():
         raise InvalidParameter(f"{what} {v[bad][0]:g} is not an integer")
-    if n is not None:
-        outside = (ints < 0) | (ints >= n)
-        if outside.any():
-            raise IndexOutOfRange(f"{what} {ints[outside][0]} is outside 0..{n - 1}")
     return ints
 
 
@@ -93,33 +82,6 @@ def prediction_consistency(
     original_pred[which[g.is_original]] = preds[g.is_original]
     mismatched = np.bincount(which, weights=preds != original_pred[which], minlength=len(gids))
     return int(np.count_nonzero(mismatched == 0)) / len(gids)
-
-
-def output_std(outputs: np.ndarray, subset: Sequence[int], column: int = 0) -> float:
-    """Population standard deviation of one output column over a subset."""
-    arr = check_outputs(outputs)
-    idx = _integers(subset, "subset index", arr.shape[0])
-    if idx.size == 0:
-        raise EmptySubset("subset is empty")
-    # a real number and never a bool; _integers then takes 1.0 but not 0.5
-    column = _integers(check_type(column, "column", float), "column", arr.shape[1])
-    return float(np.std(arr[idx, column]))
-
-
-def group_gap(
-    outputs: np.ndarray,
-    group_a: Sequence[int],
-    group_b: Sequence[int],
-    column: int = 0,
-) -> float:
-    """mean(column over A) - mean(column over B)."""
-    arr = check_outputs(outputs)
-    a = _integers(group_a, "group index", arr.shape[0])
-    b = _integers(group_b, "group index", arr.shape[0])
-    if a.size == 0 or b.size == 0:
-        raise EmptySubset("both groups must be nonempty")
-    column = _integers(check_type(column, "column", float), "column", arr.shape[1])
-    return float(np.mean(arr[a, column]) - np.mean(arr[b, column]))
 
 
 def _labelled_predictions(outputs, labels, threshold):

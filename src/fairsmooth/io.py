@@ -355,13 +355,12 @@ def _has_header(path) -> bool:
     return False
 
 
-def write_matrix_csv(path, M: np.ndarray, header: bool = True) -> None:
+def write_matrix_csv(path, M: np.ndarray) -> None:
     M = np.asarray(M, dtype=float)
     if M.ndim == 1:
         M = M[:, None]
     with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(",".join(f"c{k}" for k in range(M.shape[1])) + "\n")
+        fh.write(",".join(f"c{k}" for k in range(M.shape[1])) + "\n")
         if M.shape[1] == 0:
             fh.write("\n" * M.shape[0])
         else:

@@ -123,19 +123,9 @@ def make_laplacian(g: SimilarityGraph, kind: str) -> LaplacianOperator:
     return L
 
 
-def _check_rows(L: LaplacianOperator, f: np.ndarray) -> np.ndarray:
+def apply_symmetrized(L: LaplacianOperator, f: np.ndarray) -> np.ndarray:
+    """((L + L^T) / 2) @ f with the operator's symmetrized matrix."""
     f = np.asarray(f, dtype=float)
     if f.shape[0] != L.n:
         raise DimensionMismatch(f"f has {f.shape[0]} rows, Laplacian has n={L.n}")
-    return f
-
-
-def quadratic_form(L: LaplacianOperator, f: np.ndarray) -> float:
-    """trace(f^T L f); f may be a vector or an n x K matrix."""
-    f = _check_rows(L, f)
-    return float(np.sum(f * (L.matrix @ f)))
-
-
-def apply_symmetrized(L: LaplacianOperator, f: np.ndarray) -> np.ndarray:
-    """((L + L^T) / 2) @ f with the operator's symmetrized matrix."""
-    return L.symmetrized() @ _check_rows(L, f)
+    return L.symmetrized() @ f

@@ -48,7 +48,6 @@ from .laplacian import (
     LaplacianOperator,
     apply_symmetrized,
     make_laplacian,
-    quadratic_form,
 )
 from .metric import check_outputs, check_type, restore_shape
 
@@ -128,13 +127,6 @@ class SmoothingConfig:
         if self.discrepancy == "kl" and self.laplacian_kind != UNNORMALIZED:
             raise InvalidParameter("kl discrepancy requires the unnormalized laplacian")
         _check_tolerance(self.tolerance)
-
-
-def objective(yhat: np.ndarray, L: LaplacianOperator, lam: float, f: np.ndarray) -> float:
-    """The smoothing objective g(f) = ||f - yhat||_F^2 + lambda tr(f^T L f)."""
-    y = check_outputs(yhat, L.n)
-    fv = check_outputs(f, L.n)
-    return float(np.sum((fv - y) ** 2) + lam * quadratic_form(L, fv))
 
 
 def smooth_closed_form(yhat: np.ndarray, L: LaplacianOperator, lam: float) -> np.ndarray:

@@ -25,7 +25,6 @@ from typing import List, Sequence
 import numpy as np
 
 from .errors import InvalidParameter, UnsupportedSpec
-from .graph import SimilarityGraph
 from .metric import check_type
 
 TARGETS = ("cosine_product", "cosine_sum", "constant")
@@ -47,19 +46,28 @@ class SyntheticSpec:
             raise InvalidParameter(f"dimension must be >= 1, got {self.dimension}")
         if self.target_function not in TARGETS:
             raise UnsupportedSpec(f"unsupported target function {self.target_function!r}")
-        disp = self.dispersion
-        if disp is None:
-            disp = np.eye(self.dimension)
-        disp = np.asarray(disp, dtype=float)
-        if disp.shape != (self.dimension, self.dimension):
-            raise InvalidParameter(
-                f"dispersion must be {self.dimension}x{self.dimension}, got {disp.shape}"
-            )
-        object.__setattr__(self, "dispersion", disp)
+        disp = np.eye(self.dimension) if self.dispersion is None else self.dispersion
+        object.__setattr__(self, "dispersion", _check_dispersion(disp, self.dimension))
         validate_sigma_rule(self.sigma_exponent, self.dimension)
 
     def sigma_at(self, n: int) -> float:
         return float(n) ** (-self.sigma_exponent)
+
+
+def _check_dispersion(dispersion, dimension: int) -> np.ndarray:
+    """``dispersion`` as a float array, or InvalidParameter unless it is a
+    finite, exactly symmetric, positive definite d x d matrix.  The kernel
+    takes its cross term as 2 x_i^T Sigma x_j, which needs Sigma = Sigma^T."""
+    disp = np.asarray(dispersion, dtype=float)
+    if disp.shape != (dimension, dimension):
+        raise InvalidParameter(f"dispersion must be {dimension}x{dimension}, got {disp.shape}")
+    if not (np.all(np.isfinite(disp)) and np.array_equal(disp, disp.T)):
+        raise InvalidParameter("dispersion must be finite and exactly symmetric")
+    try:
+        np.linalg.cholesky(disp)
+    except np.linalg.LinAlgError:
+        raise InvalidParameter("dispersion must be positive definite") from None
+    return disp
 
 
 def validate_sigma_rule(exponent: float, dimension: int) -> None:
@@ -131,7 +139,7 @@ def _kernel_rows(X: np.ndarray, sigma: float, dispersion: np.ndarray):
         raise InvalidParameter(f"sigma must be positive, got {sigma}")
     X = np.asarray(X, dtype=float)
     n, d = X.shape
-    disp = np.asarray(dispersion, dtype=float)
+    disp = _check_dispersion(dispersion, d)
     SX = X @ disp
     q = np.einsum("ij,ij->i", X, SX)
     ones = np.ones(n)
@@ -162,14 +170,6 @@ def kernel_weights(X: np.ndarray, sigma: float, dispersion: np.ndarray) -> np.nd
         W[start:stop, start:] = block
     W += W.T
     return W
-
-
-def kernel_graph(X: np.ndarray, sigma: float, dispersion: np.ndarray):
-    """All-pairs kernel graph as a :class:`~fairsmooth.graph.SimilarityGraph`."""
-    W = kernel_weights(X, sigma, dispersion)
-    n = W.shape[0]
-    iu, ju = np.triu_indices(n, k=1)
-    return SimilarityGraph(n, iu, ju, W[iu, ju])
 
 
 def _kernel_times(X, sigma, dispersion, V: np.ndarray) -> np.ndarray:
@@ -235,10 +235,7 @@ def analytic_limit(spec: SyntheticSpec):
     disp = spec.dispersion
     if np.max(np.abs(disp - np.diag(np.diag(disp)))) > 0:
         raise UnsupportedSpec("analytic limits require a diagonal dispersion matrix")
-    diag = np.diag(disp)
-    if np.any(diag <= 0):
-        raise UnsupportedSpec("analytic limits require positive diagonal dispersion")
-    inv_diag = 1.0 / diag
+    inv_diag = 1.0 / np.diag(disp)
     d = spec.dimension
     if spec.target_function == "constant":
         value = 0.0

@@ -1027,3 +1027,37 @@ class TestAggregate:
         assert code == 0
         agg = json.loads(out.read_text())
         assert sorted(agg) == ["accuracy"] and agg["accuracy"]["count"] == 2
+
+
+class TestUsageErrors:
+    """A usage error is a validation error: exit 1 and one stderr line.
+    argparse used to print its usage block and exit 2, the numerical
+    failure code."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ([], "the following arguments are required: command"),
+            (["bogus"], "argument command: invalid choice: 'bogus'"),
+            (["smooth", "--outputs", "o.csv", "--out", "f.csv"], "the following arguments are required: --graph"),
+            (["smooth", "--graph", "g.tsv", "--outputs", "o.csv", "--out", "f.csv", "--lambda", "abc"],
+             "argument --lambda: invalid float value: 'abc'"),
+            (["check", "limits", "--n-grid", "10", "--surplus"], "unrecognized arguments: --surplus"),
+        ],
+    )
+    def test_exit_code_1(self, tmp_path, monkeypatch, capsys, argv, message):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [captured.err.rstrip("\n")]
+        assert captured.err.startswith(f"error: ParseError: {message}")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [["--help"], ["smooth", "--help"], ["smooth", "inductive", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: fairsmooth") and captured.err == ""

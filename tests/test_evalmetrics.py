@@ -5,15 +5,12 @@ from fairsmooth import (
     GroupedPredictions,
     accuracy,
     balanced_accuracy,
-    group_gap,
-    output_std,
     prediction_consistency,
     violation_histogram,
 )
 from fairsmooth.errors import (
     EmptyGroup,
     EmptyPairs,
-    EmptySubset,
     IndexOutOfRange,
     InvalidParameter,
     NoLabels,
@@ -107,25 +104,6 @@ class TestPredictionConsistency:
 
 
 class TestScalarMetrics:
-    def test_output_std_constant(self):
-        assert output_std(np.full(4, 2.5), [0, 1, 2, 3]) == 0.0
-
-    def test_output_std_two_points(self):
-        assert output_std(np.array([0.0, 1.0]), [0, 1]) == pytest.approx(0.5)
-
-    def test_output_std_singleton(self):
-        assert output_std(np.array([3.0, 4.0]), [1]) == 0.0
-
-    def test_output_std_empty_subset(self):
-        with pytest.raises(EmptySubset):
-            output_std(np.array([1.0]), [])
-
-    def test_group_gap(self):
-        out = np.array([0.8, 0.8, 0.6, 0.6])
-        assert group_gap(out, [0, 1], [2, 3]) == pytest.approx(0.2)
-        assert group_gap(out, [2, 3], [0, 1]) == pytest.approx(-0.2)
-        assert group_gap(out, [0, 1], [0, 1]) == 0.0
-
     def test_accuracy(self):
         out = np.array([[0.9, 0.1], [0.2, 0.8], [0.7, 0.3]])
         assert accuracy(out, [0, 1, 1]) == pytest.approx(2.0 / 3.0)
@@ -149,22 +127,14 @@ class TestScalarMetrics:
 
 
 class TestArgumentChecks:
-    """Indices, columns and labels are integers in range, thresholds finite;
-    each case below used to give a number or a bare NumPy error."""
+    """Labels are integers and thresholds finite; each case below used to
+    give a number or a bare NumPy error."""
 
     Y = np.array([[0.1, 0.5], [0.4, 0.2], [0.8, 0.9]])
 
     @pytest.mark.parametrize(
         "call, error, message",
         [
-            (lambda y: output_std(y, [-1]), IndexOutOfRange, "subset index -1 is outside 0..2"),
-            (lambda y: output_std(y, [4]), IndexOutOfRange, "subset index 4 is outside 0..2"),
-            (lambda y: output_std(y, [1.7, 2.2]), InvalidParameter, "subset index 1.7 is not an integer"),
-            (lambda y: output_std(y, [0, 1], column=-1), IndexOutOfRange, "column -1 is outside 0..1"),
-            (lambda y: output_std(y, [0, 1], column=0.5), InvalidParameter, "column 0.5 is not an integer"),
-            (lambda y: group_gap(y, [0], [3]), IndexOutOfRange, "group index 3 is outside 0..2"),
-            (lambda y: group_gap(y, [0.5], [1]), InvalidParameter, "group index 0.5 is not an integer"),
-            (lambda y: group_gap(y, [0], [1], column=2), IndexOutOfRange, "column 2 is outside 0..1"),
             (lambda y: accuracy(y, [0, 1, np.nan]), InvalidParameter, "label nan is not an integer"),
             # 0.7 was truncated to class 0, which made this a perfect score
             (lambda y: balanced_accuracy(np.array([0.9, 0.1]), [1.0, 0.7]), InvalidParameter,
@@ -180,7 +150,6 @@ class TestArgumentChecks:
             call(self.Y)
 
     def test_integral_floats_accepted(self):
-        assert output_std(self.Y, [0.0, 2.0], column=1.0) == output_std(self.Y, [0, 2], column=1)
         assert balanced_accuracy(self.Y, [1.0, 0.0, 1.0]) == balanced_accuracy(self.Y, [1, 0, 1])
 
 

@@ -260,10 +260,10 @@ class TestWriteMatrixCsv:
         back = read_matrix_csv(path)
         assert np.array_equal(back, M, equal_nan=True)
 
-    def test_vector_without_header(self, tmp_path):
+    def test_vector_is_one_column(self, tmp_path):
         path = tmp_path / "v.csv"
-        write_matrix_csv(path, np.array([0.1, 2.0]), header=False)
-        assert path.read_text() == "0.10000000000000001\n2\n"
+        write_matrix_csv(path, np.array([0.1, 2.0]))
+        assert path.read_text() == "c0\n0.10000000000000001\n2\n"
 
 
 def _ties(rng, count):

@@ -15,7 +15,6 @@ from fairsmooth import (
     build_similarity_graph,
     graph_from_annotations,
     normalized_rw_laplacian,
-    quadratic_form,
     run_smoothing,
     smoother,
     unnormalized_laplacian,
@@ -25,6 +24,14 @@ from fairsmooth.graph import SimilarityGraph
 from fairsmooth.laplacian import KINDS, NORMALIZED_RW, UNNORMALIZED, make_laplacian
 
 EUCLID = FairMetricSpec("euclidean")
+
+
+def quadratic_form(L, f):
+    """trace(f^T L f); f may be a vector or an n x K matrix."""
+    f = np.asarray(f, dtype=float)
+    if f.shape[0] != L.n:
+        raise DimensionMismatch(f"f has {f.shape[0]} rows, Laplacian has n={L.n}")
+    return float(np.sum(f * (L.matrix @ f)))
 
 
 def random_graph(rng, n, p=0.4):

@@ -27,7 +27,7 @@ from fairsmooth import (
     violation_histogram,
 )
 from fairsmooth import metric as metric_mod
-from fairsmooth.evalmetrics import group_gap, output_std, predicted_classes
+from fairsmooth.evalmetrics import predicted_classes
 from fairsmooth.metric import PAIR_CHUNK, check_pairs, check_type, pair_fair_distances, pair_gaps
 from fairsmooth.synthcheck import kernel_weights, sample_inputs
 from fairsmooth.errors import (
@@ -478,8 +478,6 @@ BAD_SCALARS = [
     (lambda v: violation_histogram(Y2, [(0, 1, 1.0)], 1.0, num_bins=v), 2.0, "num_bins"),
     (lambda v: predicted_classes(Y2, v), "0.5", "threshold"),
     (lambda v: accuracy(Y2, [0, 1], v), True, "threshold"),
-    (lambda v: output_std(Y2, [0, 1], column=v), True, "column"),
-    (lambda v: group_gap(np.ones((3, 2)), [0], [1], column=v), True, "column"),
 ]
 
 

@@ -13,8 +13,6 @@ from fairsmooth import (
     count_violations,
     global_if_project,
     graph_from_annotations,
-    group_gap,
-    output_std,
     prediction_consistency,
     run_smoothing,
     smooth_closed_form,
@@ -26,7 +24,6 @@ from fairsmooth.errors import DimensionMismatch, InvalidParameter
 from fairsmooth.evalmetrics import predicted_classes
 from fairsmooth.laplacian import UNNORMALIZED, make_laplacian
 from fairsmooth.metric import check_outputs, restore_shape
-from fairsmooth.smoother import objective
 
 N = 5
 GRAPH = graph_from_annotations([(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)], n=N)
@@ -39,7 +36,6 @@ LABELS = [0, 1, 0, 1, 1]
 
 # name -> (call on an outputs table, whether the result is a table itself)
 CASES = {
-    "objective": (lambda y: objective(y, L, 0.5, 0.5 * np.asarray(y)), False),
     "smooth_closed_form": (lambda y: smooth_closed_form(y, L, 0.5), True),
     "smooth_conjugate_gradient": (lambda y: smooth_conjugate_gradient(y, L, 0.5, 1e-10), True),
     "smooth_coordinate_descent": (
@@ -54,8 +50,6 @@ CASES = {
     "predicted_classes": (lambda y: predicted_classes(y).tolist(), False),
     "accuracy": (lambda y: accuracy(y, LABELS), False),
     "balanced_accuracy": (lambda y: balanced_accuracy(y, LABELS), False),
-    "output_std": (lambda y: output_std(y, [0, 1, 3]), False),
-    "group_gap": (lambda y: group_gap(y, [0, 1], [2, 4]), False),
     "violation_histogram": (lambda y: violation_histogram(y, PAIRS, 0.5, num_bins=3), False),
 }
 

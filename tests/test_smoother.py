@@ -36,9 +36,18 @@ from fairsmooth.laplacian import (
     make_laplacian,
     unnormalized_laplacian,
 )
-from fairsmooth.smoother import _cd_sweeps, objective
+from fairsmooth.metric import check_outputs
+from fairsmooth.smoother import _cd_sweeps
 
 EUCLID = FairMetricSpec("euclidean")
+
+
+def objective(yhat, L, lam, f):
+    """The smoothing objective g(f) = ||f - yhat||_F^2 + lambda tr(f^T L f)."""
+    y = check_outputs(yhat, L.n)
+    fv = check_outputs(f, L.n)
+    return float(np.sum((fv - y) ** 2) + lam * np.sum(fv * (L.matrix @ fv)))
+
 
 PATH2 = unnormalized_laplacian(graph_from_annotations([(0, 1)], n=2))
 

@@ -14,7 +14,6 @@ from fairsmooth.errors import InvalidParameter, UnsupportedSpec
 from fairsmooth.synthcheck import (
     KERNEL_BLOCK_ROWS,
     _kernel_rows,
-    kernel_graph,
     kernel_weights,
     target_values,
     validate_sigma_rule,
@@ -33,6 +32,35 @@ class TestSyntheticSpec:
     def test_unknown_target_rejected(self):
         with pytest.raises(UnsupportedSpec):
             SyntheticSpec(target_function="sine")
+
+    @pytest.mark.parametrize(
+        "dispersion, message",
+        [
+            ([[np.nan]], "finite and exactly symmetric"),
+            ([[np.inf]], "finite and exactly symmetric"),
+            ([[1.0, 0.1], [0.1 + 1e-16, 1.0]], "finite and exactly symmetric"),
+            ([[-1.0]], "positive definite"),
+            ([[0.0]], "positive definite"),
+            ([[1.0, 2.0], [2.0, 1.0]], "positive definite"),
+        ],
+    )
+    def test_bad_dispersion_rejected(self, dispersion, message):
+        # NaN gave a convergence_report of NaNs, [[-1]] a NaN functional
+        disp = np.array(dispersion)
+        d = disp.shape[0]
+        with pytest.raises(InvalidParameter, match=f"^dispersion must be {message}"):
+            SyntheticSpec(dimension=d, dispersion=disp)
+        X = np.random.default_rng(65).uniform(size=(6, d))
+        with pytest.raises(InvalidParameter, match=f"^dispersion must be {message}"):
+            kernel_weights(X, 0.3, disp)
+        with pytest.raises(InvalidParameter, match=f"^dispersion must be {message}"):
+            empirical_un_functional(X, np.ones(6), 0.3, disp)
+
+    def test_dispersion_of_wrong_shape_rejected(self):
+        with pytest.raises(InvalidParameter, match=r"^dispersion must be 2x2, got \(1, 1\)"):
+            SyntheticSpec(dimension=2, dispersion=ONE)
+        with pytest.raises(InvalidParameter, match=r"^dispersion must be 1x1, got \(2, 2\)"):
+            kernel_weights(np.zeros((3, 1)), 0.3, np.eye(2))
 
 
 class TestSigmaRule:
@@ -154,15 +182,6 @@ class TestKernelWeights:
         W = kernel_weights(X, sigma, disp)
         pref = np.sqrt(np.linalg.det(disp)) / ((2.0 * np.pi) ** 0.5 * sigma)
         assert np.all(W[np.arange(0, 80, 2), np.arange(1, 80, 2)] == pref)
-
-    def test_kernel_graph_matches_weights(self):
-        rng = np.random.default_rng(62)
-        X = rng.uniform(size=(8, 1))
-        W = kernel_weights(X, 0.3, ONE)
-        g = kernel_graph(X, 0.3, ONE)
-        assert g.num_edges == 8 * 7 // 2
-        for i, j, w in g.edges:
-            assert w == pytest.approx(W[i, j], rel=1e-12)
 
 
 class TestEmpiricalFunctionals:
