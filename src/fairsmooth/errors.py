@@ -78,15 +78,7 @@ class UnsupportedSpec(ValidationError):
 
 # -- numerical -------------------------------------------------------------
 
-class DegenerateDegree(NumericalError):
-    pass
-
-
 class NotPositiveDefinite(NumericalError):
-    pass
-
-
-class ZeroDenominator(NumericalError):
     pass
 
 

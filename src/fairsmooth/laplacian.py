@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 
-from .errors import DegenerateDegree, DimensionMismatch, InvalidParameter
+from .errors import DimensionMismatch, InvalidParameter
 from .graph import SimilarityGraph
 
 UNNORMALIZED = "unnormalized"
@@ -33,7 +33,8 @@ class LaplacianOperator:
     unnormalized kind ``sym`` is ``matrix`` itself.  :func:`make_laplacian`
     shares one operator among all its callers on a graph, so the arrays of
     both matrices and ``diagonal`` are read-only: a write in place raises
-    ValueError.  Operators compare and hash by identity.
+    ValueError.  Operators compare and hash by identity.  A non-finite
+    entry raises InvalidParameter.
     """
 
     kind: str
@@ -43,6 +44,9 @@ class LaplacianOperator:
 
     def __post_init__(self):
         for M in (self.matrix, self.sym):
+            if not np.isfinite(M.data).all():
+                row = np.searchsorted(M.indptr, np.argmin(np.isfinite(M.data)), side="right") - 1
+                raise InvalidParameter(f"{self.kind} laplacian row {row} is not finite: a degree or 1/degree overflows")
             for a in (M.data, M.indices, M.indptr):
                 a.flags.writeable = False
 
@@ -58,6 +62,7 @@ class LaplacianOperator:
         return self.sym
 
 
+@np.errstate(all="ignore")  # LaplacianOperator refuses an overflowed degree, without warnings
 def unnormalized_laplacian(g: SimilarityGraph) -> LaplacianOperator:
     """L = D - W with D the degree matrix of W."""
     W = g.adjacency()
@@ -65,6 +70,7 @@ def unnormalized_laplacian(g: SimilarityGraph) -> LaplacianOperator:
     return LaplacianOperator(kind=UNNORMALIZED, n=g.n, matrix=L, sym=L)
 
 
+@np.errstate(all="ignore")  # as in unnormalized_laplacian
 def normalized_rw_laplacian(g: SimilarityGraph) -> LaplacianOperator:
     """L = I - Dt^{-1} Wt with Wt = D^{-1/2} W D^{-1/2}.
 
@@ -85,11 +91,6 @@ def normalized_rw_laplacian(g: SimilarityGraph) -> LaplacianOperator:
     M.data *= s_col  # M = Wt
     del s_row, s_col  # a random-walk run peaks in this build, so it holds few arrays
     td = np.asarray(M.sum(axis=1)).ravel()
-    if np.any(pos & (td <= 0)):
-        bad = int(np.nonzero(pos & (td <= 0))[0][0])
-        raise DegenerateDegree(
-            f"node {bad} has positive degree but zero normalized degree"
-        )
     inv_td = np.zeros(g.n)
     inv_td[pos] = 1.0 / td[pos]
     M.data *= np.repeat(inv_td, counts)  # M = Dt^{-1} Wt

@@ -38,7 +38,6 @@ from .errors import (
     InvalidSimplexRow,
     NotConverged,
     NotPositiveDefinite,
-    ZeroDenominator,
 )
 from .graph import SimilarityGraph, average_degree
 from .laplacian import (
@@ -276,10 +275,7 @@ def _cd_sweeps(
     returns (f, epochs_used, last_max_change)."""
     n, S = y.shape[0], L.symmetrized()
     diag = S.diagonal()
-    denom = 1.0 + lam * diag
-    if np.any(denom <= 0):
-        bad = int(np.nonzero(denom <= 0)[0][0])
-        raise ZeroDenominator(f"1 + lambda*L_ii <= 0 at coordinate {bad}")
+    denom = 1.0 + lam * diag  # >= 1: the diagonal is a degree, or 0 or 1
     f = y.copy()
     # Python scalars and take() cut the per-coordinate overhead; the
     # arithmetic, and so every bit of f, is unchanged
