@@ -45,7 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_graph = sub.add_parser("graph", help="similarity graph operations")
-    graph_sub = p_graph.add_subparsers(dest="graph_command", required=True)
+    graph_sub = p_graph.add_subparsers(dest="graph_command", required=True, metavar="{build}")
     p_build = graph_sub.add_parser("build", help="build a similarity graph from embeddings")
     p_build.add_argument("--embeddings", required=True, help="CSV of input embeddings")
     p_build.add_argument("--metric", required=True, help="JSON fair-metric spec")
@@ -85,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ind.set_defaults(func=cmd_inductive)
 
     p_base = sub.add_parser("baseline", help="global Lipschitz-constraint projection")
-    base_sub = p_base.add_subparsers(dest="baseline_command", required=True)
+    base_sub = p_base.add_subparsers(dest="baseline_command", required=True, metavar="{project}")
     p_proj = base_sub.add_parser("project", help="project outputs onto the constraint set")
     p_proj.add_argument("--distances", required=True, help="TSV 'i<TAB>j<TAB>d' of fair distances")
     p_proj.add_argument("--outputs", required=True, help="CSV of model outputs")
@@ -107,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=cmd_eval)
 
     p_check = sub.add_parser("check", help="verification harnesses")
-    check_sub = p_check.add_subparsers(dest="check_command", required=True)
+    check_sub = p_check.add_subparsers(dest="check_command", required=True, metavar="{limits}")
     p_lim = check_sub.add_parser("limits", help="empirical check of the asymptotic limits")
     p_lim.add_argument("--dimension", type=int, default=1)
     p_lim.add_argument(
@@ -292,9 +292,14 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         args.func(args)
+    except SystemExit as exc:  # --help printed its text; usage errors are ParseErrors
+        return exc.code
     except OSError as exc:
         detail = f"missing file {exc.filename}" if isinstance(exc, FileNotFoundError) else exc
         print(f"error: ParseError: {detail}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: MemoryError: {exc}", file=sys.stderr)
         return 1
     except FairSmoothError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -156,6 +156,8 @@ def _cg_iteration_bound(L: LaplacianOperator, lam: float, tolerance: float) -> i
     Linear Systems*, sec. 6.11), below ``tolerance`` after this many steps.
     """
     kappa = 1.0 + 2.0 * lam * float(np.max(L.diagonal, initial=0.0))
+    if kappa == math.inf:
+        raise NotConverged(f"lambda {lam:g} times max L_ii {L.diagonal.max():g} overflows the conjugate-gradient bound")
     return math.ceil(0.5 * math.sqrt(kappa) * math.log(2.0 / tolerance))
 
 
@@ -494,7 +496,10 @@ def run_smoothing(yhat: np.ndarray, g: SimilarityGraph, config: SmoothingConfig)
     L = make_laplacian(g, config.laplacian_kind)
     lam = config.lam
     if config.laplacian_kind == NORMALIZED_RW and config.nrw_lambda_scaling:
-        lam = lam * average_degree(g)
+        with np.errstate(over="ignore"):
+            lam = lam * average_degree(g)
+        if not math.isfinite(lam):
+            raise NotConverged(f"lambda {config.lam:g} times the average degree overflows")
     kl = config.discrepancy == "kl"
     y = to_natural_params(np.atleast_2d(yhat)) if kl else check_outputs(yhat, L.n)
     f, info = _solve(y, L, lam, config)

@@ -251,6 +251,11 @@ class TestConstraints:
 
 
 class TestGlobalProjection:
+    def test_no_constraints_returns_a_copy(self):
+        y = np.array([0.0, 0.1, 0.2])
+        f = global_if_project(y, np.empty((0, 3)))
+        assert f.shape == y.shape and np.array_equal(f, y) and not np.shares_memory(f, y)
+
     def test_feasible_input_unchanged(self):
         y = np.array([0.0, 0.1, 0.2])
         cons = [(i, j, 1.0) for i in range(3) for j in range(i + 1, 3)]

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fairsmooth import smoother
+from fairsmooth import smoother, synthcheck
 from fairsmooth.cli import _build_parser, main
 from fairsmooth.io import read_matrix_csv, write_matrix_csv
 from fairsmooth.smoother import SmoothingConfig
@@ -337,6 +337,44 @@ def test_smooth_indefinite_system_exit_code_2(tmp_path, capsys):
     assert code == 2
     assert_one_error_line(capsys, "NotPositiveDefinite")
     assert not out.exists()
+
+
+class TestOverflow:
+    """Finite inputs whose arithmetic overflows end in one error line and no output:
+    a degree or an inverse degree that overflows is refused with the operator
+    (exit 1), and a lambda too large for the graph is NotConverged (exit 2)."""
+
+    # each weight is finite; node 0's degree overflows
+    BIG = "# n=3\n0\t1\t1e308\n0\t2\t1e308\n"
+    # node 0's random-walk normalized degree is subnormal, so its inverse overflows
+    TINY = "# n=4\n0\t1\t5e-324\n1\t2\t1.7e308\n2\t3\t5e-324\n"
+
+    @pytest.mark.parametrize(
+        "edges, flags, code, kind",
+        [
+            # used to end in an OverflowError traceback from the CG iteration bound
+            (BIG, ["--laplacian", "unnormalized"], 1, "InvalidParameter"),
+            # used to print two RuntimeWarning lines, then DegenerateDegree, exit 2
+            (BIG, ["--laplacian", "normalized_random_walk"], 1, "InvalidParameter"),
+            # used to build inf entries, then blame a lambda of inf the user never passed
+            (TINY, ["--laplacian", "normalized_random_walk"], 1, "InvalidParameter"),
+            # both used to end in an OverflowError traceback from math.ceil(inf)
+            (TINY, ["--laplacian", "unnormalized"], 2, "NotConverged"),
+            ("# n=3\n0\t1\t1\n0\t2\t1\n", ["--lambda", "1e308"], 2, "NotConverged"),
+            # lambda times the average degree overflows
+            ("# n=2\n0\t1\t1.7e308\n", ["--laplacian", "normalized_random_walk"], 2, "NotConverged"),
+        ],
+    )
+    def test_one_error_line(self, tmp_path, capsys, edges, flags, code, kind):
+        graph = tmp_path / "graph.tsv"
+        graph.write_text(edges)
+        n = int(edges.split("\n")[0].split("=")[1])
+        y = write_outputs(tmp_path, np.linspace(0.1, 0.9, n))
+        out, meta = tmp_path / "smoothed.csv", tmp_path / "meta.json"
+        argv = ["smooth", "--graph", str(graph), "--outputs", y, "--out", str(out), "--metadata-out", str(meta)]
+        assert main(argv + flags) == code
+        assert_one_error_line(capsys, kind)
+        assert not out.exists() and not meta.exists()
 
 
 class TestUncertifiedResult:
@@ -960,6 +998,26 @@ class TestCheckLimits:
         assert_one_error_line(capsys, "InvalidParameter")
         assert not out.exists()
 
+    def test_unparseable_list_item_exit_code_1(self, tmp_path, capsys):
+        out = tmp_path / "limits.csv"
+        assert main(["check", "limits", "--n-grid", "10,abc", "--out", str(out)]) == 1
+        assert_one_error_line(capsys, "ParseError")
+        assert not out.exists()
+
+    def test_memory_error_exit_code_1(self, tmp_path, capsys, monkeypatch):
+        # a grid too large for the host (--n-grid 100000000000) ended in NumPy's
+        # _ArrayMemoryError traceback; the allocation is simulated, never requested
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 745. GiB for an array with shape (100000000000, 1)")
+
+        monkeypatch.setattr(synthcheck, "sample_inputs", refuse)
+        out = tmp_path / "limits.csv"
+        assert main(["check", "limits", "--n-grid", "20,40", "--seeds", "0", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: MemoryError: Unable to allocate 745. GiB for an array with shape (100000000000, 1)\n"
+        assert not out.exists()
+
     def test_stdout_matches_file(self, tmp_path, capsys):
         args = ["check", "limits", "--n-grid", "20,40", "--seeds", "5,6"]
         out = tmp_path / "limits.csv"
@@ -1017,6 +1075,13 @@ class TestAggregate:
         assert code == 0
         assert sorted(json.loads(out.read_text())) == ["accuracy"]
 
+    def test_stdout_matches_file(self, tmp_path, capsys):
+        code, out = self.aggregate(tmp_path, {"accuracy": 0.8}, {"accuracy": 0.6})
+        assert code == 0
+        capsys.readouterr()
+        assert main(["aggregate", str(tmp_path / "r0.json"), str(tmp_path / "r1.json")]) == 0
+        assert json.loads(capsys.readouterr().out) == json.loads(out.read_text())
+
     def test_keys_that_are_never_numbers_skipped(self, tmp_path):
         histogram = {"edges": [0.0, 1.0], "counts": [2]}
         code, out = self.aggregate(
@@ -1043,6 +1108,10 @@ class TestUsageErrors:
             (["smooth", "--graph", "g.tsv", "--outputs", "o.csv", "--out", "f.csv", "--lambda", "abc"],
              "argument --lambda: invalid float value: 'abc'"),
             (["check", "limits", "--n-grid", "10", "--surplus"], "unrecognized arguments: --surplus"),
+            # a nested subcommand is named by what to type, not by its internal dest
+            (["graph"], "the following arguments are required: {build}"),
+            (["baseline"], "the following arguments are required: {project}"),
+            (["check"], "the following arguments are required: {limits}"),
         ],
     )
     def test_exit_code_1(self, tmp_path, monkeypatch, capsys, argv, message):
@@ -1056,8 +1125,7 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("argv", [["--help"], ["smooth", "--help"], ["smooth", "inductive", "--help"]])
     def test_help_exits_0(self, capsys, argv):
-        with pytest.raises(SystemExit) as exit_info:
-            main(argv)
-        assert exit_info.value.code == 0
+        # main returns the code, as for every other outcome, instead of raising SystemExit(0)
+        assert main(argv) == 0
         captured = capsys.readouterr()
         assert captured.out.startswith("usage: fairsmooth") and captured.err == ""

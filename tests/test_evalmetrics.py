@@ -154,6 +154,11 @@ class TestArgumentChecks:
 
 
 class TestViolationHistogram:
+    def test_all_distances_zero_one_bin(self):
+        # every pair at distance 0: one degenerate bin, violated by any gap
+        hist = violation_histogram(np.array([0.1, 0.9, 0.9]), [(0, 1, 0.0), (1, 2, 0.0)], lipschitz=1.0)
+        assert hist == [(0.0, 0.0, 2, 1)]
+
     def test_constant_outputs_no_violations(self):
         f = np.full(3, 1.0)
         pairs = [(0, 1, 0.5), (1, 2, 1.0)]

@@ -172,6 +172,11 @@ def test_non_integer_index_rejected_where_numpy_only_warns(tmp_path, monkeypatch
 
 
 class TestReadMatrixCsv:
+    def test_blank_first_line_is_no_header(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("\n1,2\n3,4\n")
+        assert np.array_equal(read_matrix_csv(path), [[1.0, 2.0], [3.0, 4.0]])
+
     def test_with_header(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("a,b\n1,2\n3.5,-4e-3\n")
@@ -245,6 +250,12 @@ class TestReadTable:
 
 
 class TestWriteMatrixCsv:
+    def test_zero_columns(self, tmp_path):
+        # an empty header line, then one empty line per row
+        path = tmp_path / "m.csv"
+        write_matrix_csv(path, np.zeros((3, 0)))
+        assert path.read_text() == "\n\n\n\n"
+
     def test_bytes_match_seventeen_digit_rows(self, tmp_path, monkeypatch):
         # a chunk of 3 rows forces partial and full chunks
         monkeypatch.setattr(io, "WRITE_CHUNK", 3)
