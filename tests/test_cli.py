@@ -353,16 +353,17 @@ class TestOverflow:
         "edges, flags, code, kind",
         [
             # used to end in an OverflowError traceback from the CG iteration bound
-            (BIG, ["--laplacian", "unnormalized"], 1, "InvalidParameter"),
+            pytest.param(BIG, ["--laplacian", "unnormalized"], 1, "InvalidParameter", id="big-unnormalized"),
             # used to print two RuntimeWarning lines, then DegenerateDegree, exit 2
-            (BIG, ["--laplacian", "normalized_random_walk"], 1, "InvalidParameter"),
+            pytest.param(BIG, ["--laplacian", "normalized_random_walk"], 1, "InvalidParameter", id="big-random-walk"),
             # used to build inf entries, then blame a lambda of inf the user never passed
-            (TINY, ["--laplacian", "normalized_random_walk"], 1, "InvalidParameter"),
+            pytest.param(TINY, ["--laplacian", "normalized_random_walk"], 1, "InvalidParameter", id="tiny-random-walk"),
             # both used to end in an OverflowError traceback from math.ceil(inf)
-            (TINY, ["--laplacian", "unnormalized"], 2, "NotConverged"),
-            ("# n=3\n0\t1\t1\n0\t2\t1\n", ["--lambda", "1e308"], 2, "NotConverged"),
+            pytest.param(TINY, ["--laplacian", "unnormalized"], 2, "NotConverged", id="tiny-unnormalized"),
+            pytest.param("# n=3\n0\t1\t1\n0\t2\t1\n", ["--lambda", "1e308"], 2, "NotConverged", id="lambda-1e308"),
             # lambda times the average degree overflows
-            ("# n=2\n0\t1\t1.7e308\n", ["--laplacian", "normalized_random_walk"], 2, "NotConverged"),
+            pytest.param("# n=2\n0\t1\t1.7e308\n", ["--laplacian", "normalized_random_walk"], 2, "NotConverged",
+                         id="random-walk-scaling"),
         ],
     )
     def test_one_error_line(self, tmp_path, capsys, edges, flags, code, kind):
@@ -1007,15 +1008,17 @@ class TestCheckLimits:
     def test_memory_error_exit_code_1(self, tmp_path, capsys, monkeypatch):
         # a grid too large for the host (--n-grid 100000000000) ended in NumPy's
         # _ArrayMemoryError traceback; the allocation is simulated, never requested
+        message = "Unable to allocate 745. GiB for an array with shape (100000000000, 1)"
+
         def refuse(*args, **kwargs):
-            raise MemoryError("Unable to allocate 745. GiB for an array with shape (100000000000, 1)")
+            raise MemoryError(message)
 
         monkeypatch.setattr(synthcheck, "sample_inputs", refuse)
         out = tmp_path / "limits.csv"
         assert main(["check", "limits", "--n-grid", "20,40", "--seeds", "0", "--out", str(out)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: MemoryError: Unable to allocate 745. GiB for an array with shape (100000000000, 1)\n"
+        assert captured.err == f"error: MemoryError: {message}\n"
         assert not out.exists()
 
     def test_stdout_matches_file(self, tmp_path, capsys):

@@ -99,6 +99,8 @@ class TestValidateMetric:
             # sigma is derived from the basis, never taken from the caller
             ({"kind": "projection_complement", "sigma": np.eye(2), "basis": np.eye(2)[:1]},
              "takes no sigma"),
+            ({"kind": "mahalanobis", "sigma": np.ones((2, 3))}, "sigma must be square"),
+            ({"kind": "projection_complement", "basis": np.ones(2)}, "basis must be 2-d"),
         ],
     )
     def test_wrong_fields_rejected(self, fields, message):
