@@ -6,6 +6,9 @@ Wt = D^{-1/2} W D^{-1/2} is the normalized adjacency and Dt its degree
 matrix.  For the unnormalized kind the quadratic form f^T L f equals the
 pairwise sum (1/2) sum_{i != j} W_ij (f_i - f_j)^2.
 
+An operator keeps one matrix, the symmetric (L + L^T) / 2 that the quadratic
+form reads: L itself for the unnormalized kind; the random-walk L is never formed.
+
 Isolated nodes under the random-walk normalization have no well-defined
 degree inverse; their rows and diagonal entries are set to zero, so
 smoothing leaves them untouched.
@@ -27,28 +30,25 @@ KINDS = (UNNORMALIZED, NORMALIZED_RW)
 
 @dataclass(frozen=True, eq=False)
 class LaplacianOperator:
-    """L as ``matrix`` and its symmetrization (L + L^T) / 2 as ``sym``.
+    """One CSR ``matrix``: (L + L^T) / 2, which is L for the unnormalized kind.
 
-    Both are CSR with sorted indices, built once with the operator; for the
-    unnormalized kind ``sym`` is ``matrix`` itself.  :func:`make_laplacian`
-    shares one operator among all its callers on a graph, so the arrays of
-    both matrices and ``diagonal`` are read-only: a write in place raises
-    ValueError.  Operators compare and hash by identity.  A non-finite
-    entry raises InvalidParameter.
+    Its indices are sorted.  :func:`make_laplacian` shares one operator among
+    all its callers on a graph, so the arrays of ``matrix`` and ``diagonal``
+    are read-only: a write in place raises ValueError.  Operators compare and
+    hash by identity.  A non-finite entry raises InvalidParameter.
     """
 
     kind: str
     n: int
     matrix: sparse.csr_matrix
-    sym: sparse.csr_matrix
 
     def __post_init__(self):
-        for M in (self.matrix, self.sym):
-            if not np.isfinite(M.data).all():
-                row = np.searchsorted(M.indptr, np.argmin(np.isfinite(M.data)), side="right") - 1
-                raise InvalidParameter(f"{self.kind} laplacian row {row} is not finite: a degree or 1/degree overflows")
-            for a in (M.data, M.indices, M.indptr):
-                a.flags.writeable = False
+        M = self.matrix
+        if not np.isfinite(M.data).all():
+            row = np.searchsorted(M.indptr, np.argmin(np.isfinite(M.data)), side="right") - 1
+            raise InvalidParameter(f"{self.kind} laplacian row {row} is not finite: a degree or 1/degree overflows")
+        for a in (M.data, M.indices, M.indptr):
+            a.flags.writeable = False
 
     @cached_property
     def diagonal(self) -> np.ndarray:
@@ -58,8 +58,8 @@ class LaplacianOperator:
         return d
 
     def symmetrized(self) -> sparse.csr_matrix:
-        """(L + L^T) / 2 as CSR; equals ``matrix`` for the unnormalized kind."""
-        return self.sym
+        """``matrix``, (L + L^T) / 2 for either kind; kept for callers that name it."""
+        return self.matrix
 
 
 @np.errstate(all="ignore")  # LaplacianOperator refuses an overflowed degree, without warnings
@@ -67,16 +67,17 @@ def unnormalized_laplacian(g: SimilarityGraph) -> LaplacianOperator:
     """L = D - W with D the degree matrix of W."""
     W = g.adjacency()
     L = (sparse.diags(np.asarray(W.sum(axis=1)).ravel()) - W).tocsr()
-    return LaplacianOperator(kind=UNNORMALIZED, n=g.n, matrix=L, sym=L)
+    return LaplacianOperator(kind=UNNORMALIZED, n=g.n, matrix=L)
 
 
 @np.errstate(all="ignore")  # as in unnormalized_laplacian
 def normalized_rw_laplacian(g: SimilarityGraph) -> LaplacianOperator:
-    """L = I - Dt^{-1} Wt with Wt = D^{-1/2} W D^{-1/2}.
+    """(L + L^T) / 2 for L = I - Dt^{-1} Wt, Wt = D^{-1/2} W D^{-1/2}.
 
-    Rows and diagonal entries of isolated nodes are zero.  L and
-    (L + L^T) / 2 are formed by scaling the data array of W's CSR in place:
-    W's pattern is symmetric, so the entry of L^T at (i, j) is -Wt_ji / dt_j.
+    Rows and diagonal entries of isolated nodes are zero.  W's CSR data is
+    scaled in place, row factor first; W's pattern is symmetric, so the entry
+    of L^T at (i, j) is -Wt_ji / dt_j.  The result is scipy's 0.5 * (L + L.T)
+    of that L bit for bit.
     """
     M = g.adjacency()
     deg = np.asarray(M.sum(axis=1)).ravel()
@@ -94,13 +95,11 @@ def normalized_rw_laplacian(g: SimilarityGraph) -> LaplacianOperator:
     inv_td = np.zeros(g.n)
     inv_td[pos] = 1.0 / td[pos]
     M.data *= np.repeat(inv_td, counts)  # M = Dt^{-1} Wt
-    eye_pos = sparse.diags(pos.astype(float))
-    L = (eye_pos - M).tocsr()
     wt_ji *= inv_td[cols]
     M.data += wt_ji
     del wt_ji
     M.data *= 0.5  # M = (Dt^{-1} Wt + (Dt^{-1} Wt)^T) / 2
-    return LaplacianOperator(kind=NORMALIZED_RW, n=g.n, matrix=L, sym=(eye_pos - M).tocsr())
+    return LaplacianOperator(kind=NORMALIZED_RW, n=g.n, matrix=(sparse.diags(pos.astype(float)) - M).tocsr())
 
 
 def make_laplacian(g: SimilarityGraph, kind: str) -> LaplacianOperator:
@@ -125,8 +124,8 @@ def make_laplacian(g: SimilarityGraph, kind: str) -> LaplacianOperator:
 
 
 def apply_symmetrized(L: LaplacianOperator, f: np.ndarray) -> np.ndarray:
-    """((L + L^T) / 2) @ f with the operator's symmetrized matrix."""
+    """((L + L^T) / 2) @ f, the operator's ``matrix`` times f."""
     f = np.asarray(f, dtype=float)
     if f.shape[0] != L.n:
         raise DimensionMismatch(f"f has {f.shape[0]} rows, Laplacian has n={L.n}")
-    return L.symmetrized() @ f
+    return L.matrix @ f

@@ -4,11 +4,12 @@ The post-processing objective is
 
     g(f) = ||f - yhat||_F^2 + lambda * trace(f^T L f),
 
-whose exact minimizer is f = (I + lambda * (L + L^T)/2)^{-1} yhat, solved
-column-by-column with one shared symmetric factorization or, for the
-unnormalized Laplacian, by a certified preconditioned conjugate gradient on
-the sparse matrix, one column per thread on up to min(K, usable cores)
-threads with results that do not depend on the thread count.  Gauss-Seidel
+whose exact minimizer is f = (I + lambda * S)^{-1} yhat with S = (L + L^T)/2,
+the operator's ``matrix``.  It is solved column-by-column with one shared
+symmetric factorization or, for the unnormalized Laplacian, by a certified
+preconditioned conjugate gradient on the sparse matrix, one column per
+thread on up to min(K, usable cores) threads with results that do not
+depend on the thread count.  Gauss-Seidel
 coordinate descent covers random-walk instances too large to factorize,
 and a single coordinate step extends the method to unseen points.
 
@@ -96,8 +97,8 @@ class SmoothingConfig:
     The JSON keys are the field names, with ``lambda`` for ``lam``.
     Construction, ``dataclasses.replace`` included, checks every field's
     type and value and raises InvalidParameter.
-    ``tolerance`` bounds the certified residual
-    max |f - y + lambda sym(L) f| of every output column k, relative to
+    ``tolerance`` bounds the certified residual max |f - y + lambda S f|,
+    S = ``L.matrix``, of every output column k, relative to
     max(1, ||y_k||_inf), for every solver: conjugate gradient and coordinate
     descent stop once it holds, and ``converged`` reports whether it does.
     """
@@ -129,19 +130,26 @@ class SmoothingConfig:
 
 
 def smooth_closed_form(yhat: np.ndarray, L: LaplacianOperator, lam: float) -> np.ndarray:
-    """Exact minimizer (I + lambda * sym(L))^{-1} yhat.
+    """Exact minimizer (I + lambda * S)^{-1} yhat, S = ``L.matrix``.
 
-    One Cholesky factorization is shared across all output columns.  Raises
-    NotPositiveDefinite if I + lambda * sym(L) fails to factorize (possible
-    for the symmetrized random-walk kind on pathological graphs).
+    One Cholesky factorization, in place in the one n x n array that holds
+    I + lambda * S, is shared across all output columns.  Raises
+    NotPositiveDefinite if I + lambda * S fails to factorize (possible for
+    the symmetrized random-walk kind on pathological graphs).
     """
     _check_lambda(lam)
     y = check_outputs(yhat, L.n)
     if lam == 0.0:
         return restore_shape(y.copy(), yhat)
-    A = np.eye(L.n) + lam * L.symmetrized().toarray()
+    # np.eye(n) + lam * S.toarray() bit for bit: + 0.0 turns an underflowed
+    # -0.0 into the 0.0 of the identity.  S is symmetric bit for bit, so A.T
+    # is A in Fortran order, which cho_factor overwrites without a copy
+    A = L.matrix.toarray()
+    A *= lam
+    A += 0.0
+    A[np.diag_indices(L.n)] += 1.0
     try:
-        factor = sla.cho_factor(A, lower=True, check_finite=False)
+        factor = sla.cho_factor(A.T, lower=True, overwrite_a=True, check_finite=False)
     except sla.LinAlgError as exc:
         raise NotPositiveDefinite(f"I + lambda*sym(L) is not positive definite: {exc}")
     return restore_shape(sla.cho_solve(factor, y, check_finite=False), yhat)
@@ -155,10 +163,17 @@ def _cg_iteration_bound(L: LaplacianOperator, lam: float, tolerance: float) -> i
     least 2 exp(-2 it / sqrt(kappa)) (Saad, *Iterative Methods for Sparse
     Linear Systems*, sec. 6.11), below ``tolerance`` after this many steps.
     """
-    kappa = 1.0 + 2.0 * lam * float(np.max(L.diagonal, initial=0.0))
-    if kappa == math.inf:
-        raise NotConverged(f"lambda {lam:g} times max L_ii {L.diagonal.max():g} overflows the conjugate-gradient bound")
+    kappa = _diagonal_bound(L, lam, "conjugate-gradient bound", scale=2.0)
     return math.ceil(0.5 * math.sqrt(kappa) * math.log(2.0 / tolerance))
+
+
+def _diagonal_bound(L: LaplacianOperator, lam: float, what: str, scale: float = 1.0) -> float:
+    """1 + scale * lambda * max_i L_ii; NotConverged, naming ``what``, if it overflows."""
+    top = float(np.max(L.diagonal, initial=0.0))
+    bound = 1.0 + scale * float(lam) * top
+    if bound == math.inf:
+        raise NotConverged(f"lambda {lam:g} times max L_ii {top:g} overflows the {what}")
+    return bound
 
 
 def _column_bounds(y: np.ndarray, tolerance: float) -> np.ndarray:
@@ -167,7 +182,7 @@ def _column_bounds(y: np.ndarray, tolerance: float) -> np.ndarray:
 
 
 def _column_residuals(y: np.ndarray, L: LaplacianOperator, lam: float, f: np.ndarray) -> np.ndarray:
-    """max |f - y + lambda sym(L) f| per column of (n, K) tables."""
+    """max |f - y + lambda S f| per column of (n, K) tables, S = ``L.matrix``."""
     return np.max(np.abs(f - y + lam * apply_symmetrized(L, f)), axis=0, initial=0.0)
 
 
@@ -273,10 +288,11 @@ def _cd_sweeps(
     seed: int,
     tolerance: float,
 ):
-    """Run Gauss-Seidel epochs until f meets the certificate of ``_solve``;
-    returns (f, epochs_used, last_max_change)."""
-    n, S = y.shape[0], L.symmetrized()
-    diag = S.diagonal()
+    """Run Gauss-Seidel epochs on S = ``L.matrix`` until f meets the
+    certificate of ``_solve``; returns (f, epochs_used, last_max_change).
+    NotConverged, before the first sweep, if 1 + lambda max_i L_ii overflows."""
+    _diagonal_bound(L, lam, "coordinate-descent update")
+    n, S, diag = y.shape[0], L.matrix, L.diagonal
     denom = 1.0 + lam * diag  # >= 1: the diagonal is a degree, or 0 or 1
     f = y.copy()
     # Python scalars and take() cut the per-coordinate overhead; the
@@ -309,8 +325,8 @@ def smooth_coordinate_descent(
 ):
     """Coordinate-descent minimizer of the smoothing objective at ``lam``.
 
-    Gauss-Seidel epochs on sym(L), each in a ``seed``-determined random order,
-    run until the residual max |f - yhat + lambda sym(L) f| of every column k
+    Gauss-Seidel epochs on S = ``L.matrix``, each in a ``seed``-determined random
+    order, run until the residual max |f - yhat + lambda S f| of every column k
     is at most ``tolerance`` * max(1, ||yhat_k||_inf), or ``epochs`` have run;
     ``return_info`` adds ``epochs_used`` and ``last_max_change``, the largest
     coordinate change of the last epoch.
@@ -485,10 +501,10 @@ def run_smoothing(yhat: np.ndarray, g: SimilarityGraph, config: SmoothingConfig)
     certified conjugate gradient otherwise.  The random-walk kind uses the
     Cholesky factorization up to ``DENSE_LIMIT`` and falls back to
     coordinate descent above it, noted as ``fallback_to_cd``; an indefinite
-    I + lambda * sym(L) raises NotPositiveDefinite.  The metadata names the
-    ``solver`` that ran, its ``iterations`` (the largest per-column CG
-    iteration count, CD epochs, 0 for Cholesky), the ``residual``
-    max |f - y + lambda sym(L) f| and whether it ``converged``:
+    I + lambda * S, S = ``L.matrix``, raises NotPositiveDefinite.  The
+    metadata names the ``solver`` that ran, its ``iterations`` (the largest
+    per-column CG iteration count, CD epochs, 0 for Cholesky), the
+    ``residual`` max |f - y + lambda S f| and whether it ``converged``:
     |r_k| <= tolerance * max(1, |y_k|) in every column k.
     A result that did not converge is returned, flagged; conjugate gradient
     raises NotConverged instead.
@@ -496,8 +512,11 @@ def run_smoothing(yhat: np.ndarray, g: SimilarityGraph, config: SmoothingConfig)
     L = make_laplacian(g, config.laplacian_kind)
     lam = config.lam
     if config.laplacian_kind == NORMALIZED_RW and config.nrw_lambda_scaling:
+        # lambda 0 asks for f = yhat, even where the average degree overflows;
+        # lam * 0.0 has the type and sign that lam * avg has
         with np.errstate(over="ignore"):
-            lam = lam * average_degree(g)
+            avg = average_degree(g)
+            lam = lam * (avg if lam else 0.0)
         if not math.isfinite(lam):
             raise NotConverged(f"lambda {config.lam:g} times the average degree overflows")
     kl = config.discrepancy == "kl"
@@ -515,7 +534,7 @@ def run_smoothing(yhat: np.ndarray, g: SimilarityGraph, config: SmoothingConfig)
 
 
 def _solve(y, L, lam, config):
-    """Pick, run and certify the solver of (I + lam sym(L)) f = y by the rule
+    """Pick, run and certify the solver of (I + lam S) f = y by the rule
     in run_smoothing; solvers are called through the module globals, where
     tracers wrap them.  Returns (f, info) for an (n, K) table y."""
     n, k = y.shape

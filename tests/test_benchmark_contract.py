@@ -3,8 +3,8 @@
 ``perfbench/selfcheck.py`` runs the benchmark's oracles and tracer against
 the package on a tiny input, so renaming or removing a function the tracer
 or the oracles use fails here rather than in a traced benchmark run.  The
-self-check traces the closed form only; the coordinate-descent counters are
-checked in process below.
+self-check traces the closed form only; the coordinate-descent counters and
+the Laplacian's span and counter are checked in process below.
 """
 
 import importlib
@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from fairsmooth import SmoothingConfig, graph_from_annotations, smoother
-from fairsmooth.laplacian import NORMALIZED_RW
+from fairsmooth.laplacian import NORMALIZED_RW, make_laplacian
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SELFCHECK = PERFBENCH / "selfcheck.py"
@@ -60,3 +60,22 @@ def test_traced_coordinate_descent_fills_its_counters(monkeypatch):
     assert metrics["smoother.smooth_coordinate_descent.epochs_used"] == epochs
     assert metrics["smoother.smooth_coordinate_descent.coordinate_updates"] == epochs * n
     assert metrics["smoother.run_smoothing.fallback_to_cd"] == 1
+
+
+def test_traced_random_walk_solve_records_the_laplacian(monkeypatch):
+    # the tracer counts the nnz of make_laplacian's matrix and wraps
+    # apply_symmetrized, the product of the residual certificate
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    g = graph_from_annotations([(0, 1), (0, 2), (1, 2), (2, 3)], n=5)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        _, meta = smoother.run_smoothing(np.linspace(0.0, 1.0, 5), g, SmoothingConfig(laplacian_kind=NORMALIZED_RW))
+    finally:
+        tracer.uninstall()
+    tracer.flush()
+    metrics = tracer.layer_metrics(1)
+    assert (meta["solver"], meta["converged"]) == ("cholesky", True)
+    assert metrics["laplacian.make_laplacian.nnz"] == make_laplacian(g, NORMALIZED_RW).matrix.nnz
+    assert "laplacian.apply_symmetrized" in {span[0] for span in tracer.spans}

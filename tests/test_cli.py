@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fairsmooth import smoother, synthcheck
+from fairsmooth import laplacian, smoother, synthcheck
 from fairsmooth.cli import _build_parser, main
 from fairsmooth.io import read_matrix_csv, write_matrix_csv
 from fairsmooth.smoother import SmoothingConfig
@@ -348,6 +348,9 @@ class TestOverflow:
     BIG = "# n=3\n0\t1\t1e308\n0\t2\t1e308\n"
     # node 0's random-walk normalized degree is subnormal, so its inverse overflows
     TINY = "# n=4\n0\t1\t5e-324\n1\t2\t1.7e308\n2\t3\t5e-324\n"
+    STAR = "# n=3\n0\t1\t1\n0\t2\t1\n"
+    # each degree is finite; lambda times the average degree overflows
+    HUGE = "# n=2\n0\t1\t1.7e308\n"
 
     @pytest.mark.parametrize(
         "edges, flags, code, kind",
@@ -360,22 +363,54 @@ class TestOverflow:
             pytest.param(TINY, ["--laplacian", "normalized_random_walk"], 1, "InvalidParameter", id="tiny-random-walk"),
             # both used to end in an OverflowError traceback from math.ceil(inf)
             pytest.param(TINY, ["--laplacian", "unnormalized"], 2, "NotConverged", id="tiny-unnormalized"),
-            pytest.param("# n=3\n0\t1\t1\n0\t2\t1\n", ["--lambda", "1e308"], 2, "NotConverged", id="lambda-1e308"),
-            # lambda times the average degree overflows
-            pytest.param("# n=2\n0\t1\t1.7e308\n", ["--laplacian", "normalized_random_walk"], 2, "NotConverged",
-                         id="random-walk-scaling"),
+            pytest.param(STAR, ["--lambda", "1e308"], 2, "NotConverged", id="lambda-1e308"),
+            # used to print two RuntimeWarning lines from the sweeps, then ask for more epochs
+            pytest.param(STAR, ["--lambda", "1e308", "--mode", "coordinate_descent"], 2, "NotConverged",
+                         id="lambda-1e308-coordinate-descent"),
+            pytest.param(HUGE, ["--laplacian", "normalized_random_walk"], 2, "NotConverged", id="random-walk-scaling"),
         ],
     )
     def test_one_error_line(self, tmp_path, capsys, edges, flags, code, kind):
+        assert self.call(tmp_path, edges, flags) == code
+        assert_one_error_line(capsys, kind)
+        assert not self.out.exists() and not self.meta.exists()
+
+    def call(self, tmp_path, edges, flags):
+        """Run ``smooth`` on ``edges`` and the outputs 0.1 .. 0.9; returns the exit code."""
         graph = tmp_path / "graph.tsv"
         graph.write_text(edges)
         n = int(edges.split("\n")[0].split("=")[1])
-        y = write_outputs(tmp_path, np.linspace(0.1, 0.9, n))
-        out, meta = tmp_path / "smoothed.csv", tmp_path / "meta.json"
-        argv = ["smooth", "--graph", str(graph), "--outputs", y, "--out", str(out), "--metadata-out", str(meta)]
-        assert main(argv + flags) == code
-        assert_one_error_line(capsys, kind)
-        assert not out.exists() and not meta.exists()
+        self.y = write_outputs(tmp_path, np.linspace(0.1, 0.9, n))
+        self.out, self.meta = tmp_path / "smoothed.csv", tmp_path / "meta.json"
+        return main(["smooth", "--graph", str(graph), "--outputs", self.y, "--out", str(self.out),
+                     "--metadata-out", str(self.meta), *flags])
+
+    @pytest.mark.parametrize("edges", [STAR, HUGE], ids=["star", "huge-weight"])
+    @pytest.mark.parametrize("lam, effective", [(0, "0.0"), (0.0, "0.0"), (-0.0, "-0.0")])
+    def test_lambda_zero_returns_the_outputs(self, tmp_path, edges, lam, effective):
+        # lambda 0 asks for f = yhat; on the huge weight the average degree
+        # overflows, which used to end in NotConverged, exit 2
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"lambda": lam, "laplacian_kind": "normalized_random_walk"}))
+        assert self.call(tmp_path, edges, ["--config", str(config)]) == 0
+        assert self.out.read_text() == Path(self.y).read_text()
+        assert f'"effective_lambda": {effective},' in self.meta.read_text()
+
+    @pytest.mark.parametrize("mode", smoother.MODES)
+    @pytest.mark.parametrize("kind", laplacian.KINDS)
+    @pytest.mark.parametrize("lam", ["0", "5e-324", "1", "1e308"])
+    @pytest.mark.parametrize("edges", [STAR, HUGE], ids=["star", "huge-weight"])
+    def test_result_or_one_error_line(self, tmp_path, capsys, edges, lam, kind, mode):
+        # a RuntimeWarning escaping the run fails the test
+        code = self.call(tmp_path, edges, ["--lambda", lam, "--laplacian", kind, "--mode", mode])
+        captured = capsys.readouterr()
+        assert code in (0, 1, 2) and captured.out == ""
+        if code:
+            (line,) = captured.err.splitlines()
+            assert line.startswith("error: ")
+            assert not self.out.exists() and not self.meta.exists()
+        else:
+            assert captured.err == "" and self.out.exists() and self.meta.exists()
 
 
 class TestUncertifiedResult:

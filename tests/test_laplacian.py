@@ -43,6 +43,33 @@ def random_graph(rng, n, p=0.4):
     return graph_from_annotations(pairs, n=n)
 
 
+@np.errstate(all="ignore")  # as in the package's builders
+def reference_rw_laplacian(g):
+    """The non-symmetric I - Dt^{-1} Wt as CSR, isolated rows zero.
+
+    The package's arithmetic: Wt_ij = (W_ij s_i) s_j with s = 1 / sqrt(degree),
+    and the normalized degrees summed per CSR row.
+    """
+    M = g.adjacency()
+    deg = np.asarray(M.sum(axis=1)).ravel()
+    pos = deg > 0
+    inv_sqrt = np.zeros(g.n)
+    inv_sqrt[pos] = 1.0 / np.sqrt(deg[pos])
+    counts = np.diff(M.indptr)
+    M.data *= np.repeat(inv_sqrt, counts)
+    M.data *= inv_sqrt[M.indices]
+    td = np.asarray(M.sum(axis=1)).ravel()
+    inv_td = np.zeros(g.n)
+    inv_td[pos] = 1.0 / td[pos]
+    M.data *= np.repeat(inv_td, counts)
+    return (sparse.diags(pos.astype(float)) - M).tocsr()
+
+
+def assert_symmetrization_of(L, R):
+    """L's matrix is scipy's (R + R^T) / 2, dense bytes bit for bit."""
+    assert L.matrix.toarray().tobytes() == (0.5 * (R + R.T)).toarray().tobytes()
+
+
 def dense_nrw_oracle(W):
     """Dense reference computation of I - Dt^{-1} Wt with isolated rows zero."""
     W = np.asarray(W, dtype=float)
@@ -97,29 +124,28 @@ class TestNormalizedRW:
 
     def test_star_graph_matches_dense_oracle(self):
         g = graph_from_annotations([(0, 1), (0, 2)], n=3)
-        L = normalized_rw_laplacian(g)
-        W = g.adjacency().toarray()
-        assert np.allclose(L.matrix.toarray(), dense_nrw_oracle(W), atol=1e-12)
+        R = reference_rw_laplacian(g)
+        assert np.allclose(R.toarray(), dense_nrw_oracle(g.adjacency().toarray()), atol=1e-12)
+        assert_symmetrization_of(normalized_rw_laplacian(g), R)
 
     def test_weighted_random_matches_dense_oracle(self):
         rng = np.random.default_rng(11)
         X = rng.normal(size=(12, 2))
         g = build_similarity_graph(X, EUCLID, theta=0.5, tau=np.inf)
-        L = normalized_rw_laplacian(g)
-        assert np.allclose(
-            L.matrix.toarray(), dense_nrw_oracle(g.adjacency().toarray()), atol=1e-12
-        )
+        R = reference_rw_laplacian(g)
+        assert np.allclose(R.toarray(), dense_nrw_oracle(g.adjacency().toarray()), atol=1e-12)
+        assert_symmetrization_of(normalized_rw_laplacian(g), R)
 
     def test_sorted_csr_and_its_symmetrization(self):
-        # L and sym(L) come with sorted indices; sym(L) is scipy's
-        # (L + L^T) / 2 bit for bit, and apply_symmetrized multiplies by it
+        # the kept matrix has sorted indices and is scipy's (R + R^T) / 2 of
+        # the non-symmetric reference R bit for bit; apply_symmetrized and
+        # symmetrized() are that matrix
         rng = np.random.default_rng(15)
         g = build_similarity_graph(rng.uniform(size=(150, 2)), EUCLID, theta=3.0, tau=0.2)
         L = normalized_rw_laplacian(g)
-        S = L.symmetrized()
-        assert L.matrix.has_sorted_indices and S.has_sorted_indices
-        ref = (0.5 * (L.matrix + L.matrix.T)).tocsr()
-        assert S.toarray().tobytes() == ref.toarray().tobytes()
+        S = L.matrix
+        assert S.has_sorted_indices
+        assert_symmetrization_of(L, reference_rw_laplacian(g))
         oracle = dense_nrw_oracle(g.adjacency().toarray())
         assert np.allclose(S.toarray(), 0.5 * (oracle + oracle.T), atol=1e-12)
         f = rng.normal(size=(150, 2))
@@ -133,11 +159,13 @@ class TestNormalizedRW:
         assert L[2, 2] == 0.0
 
     def test_non_isolated_rows_sum_zero(self):
+        # the rows of the non-symmetric L, not of the kept (L + L^T) / 2
         rng = np.random.default_rng(12)
         g = random_graph(rng, 15)
-        L = normalized_rw_laplacian(g).matrix.toarray()
+        R = reference_rw_laplacian(g)
         deg = np.asarray(g.adjacency().sum(axis=1)).ravel()
-        assert np.max(np.abs(L[deg > 0].sum(axis=1))) < 1e-10
+        assert np.max(np.abs(R.toarray()[deg > 0].sum(axis=1))) < 1e-10
+        assert_symmetrization_of(normalized_rw_laplacian(g), R)
 
     def test_diagonal_one_on_connected_nodes(self):
         rng = np.random.default_rng(13)
@@ -221,10 +249,11 @@ class TestApplySymmetrized:
         ind_a = np.array([1.0, 1.0, 1.0, 0.0, 0.0])
         ind_b = np.array([0.0, 0.0, 0.0, 1.0, 1.0])
         L_un = make_laplacian(g, UNNORMALIZED)
-        L_rw = make_laplacian(g, NORMALIZED_RW)
+        L_rw, R = make_laplacian(g, NORMALIZED_RW), reference_rw_laplacian(g)
+        assert_symmetrization_of(L_rw, R)
         for ind in (ind_a, ind_b):
             assert np.max(np.abs(apply_symmetrized(L_un, ind))) < 1e-10
-            assert np.max(np.abs(L_rw.matrix @ ind)) < 1e-10
+            assert np.max(np.abs(R @ ind)) < 1e-10
             assert abs(quadratic_form(L_rw, ind)) < 1e-10
 
     def test_nrw_symmetrized_does_not_annihilate_constants(self):
@@ -284,8 +313,9 @@ class TestAdjacencyBuild:
     def test_bit_identical_on_documented_order(self, g, kind, monkeypatch):
         ours, ref = make_laplacian(g, kind), coo_laplacian(g, kind, monkeypatch)
         assert_same_csr(ours.matrix, ref.matrix)
-        assert_same_csr(ours.symmetrized(), ref.symmetrized())
         assert_same_csr(g.adjacency(), coo_adjacency(g.n, g.rows, g.cols, g.weights))
+        if kind == NORMALIZED_RW:
+            assert_symmetrization_of(ours, reference_rw_laplacian(g))
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_equal_outside_documented_order(self, kind, monkeypatch):
@@ -335,7 +365,6 @@ class TestAdjacencyBuild:
             raw = (rows[nonzero], cols[nonzero], weights[nonzero])
             ours, ref = make_laplacian(g, kind), coo_laplacian(g, kind, monkeypatch, raw)
             assert_same_csr(ours.matrix, ref.matrix)
-            assert_same_csr(ours.symmetrized(), ref.symmetrized())
 
         check()
 
@@ -380,7 +409,6 @@ class TestKeptOperator:
         M = make_laplacian(other, kind)
         assert M is not L
         assert_same_csr(M.matrix, L.matrix)
-        assert_same_csr(M.sym, L.sym)
 
     def test_unknown_kind_keeps_nothing(self):
         g = tau_graph(20, seed=23)
@@ -391,7 +419,8 @@ class TestKeptOperator:
     @pytest.mark.parametrize("kind", KINDS)
     def test_every_array_is_read_only(self, kind):
         L = make_laplacian(tau_graph(60, seed=24), kind)
-        for a in csr_arrays(L.matrix) + csr_arrays(L.sym) + [L.diagonal]:
+        assert [f.name for f in dataclasses.fields(L)] == ["kind", "n", "matrix"]
+        for a in csr_arrays(L.matrix) + [L.diagonal]:
             assert a.size and not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = a[0]

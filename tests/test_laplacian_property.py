@@ -5,7 +5,8 @@ inverse of a random-walk normalized degree.  Either build then raises
 InvalidParameter, with no NumPy warning (tier-1 turns RuntimeWarning into an
 error); otherwise every stored entry is finite.  A node with positive degree
 never gets a zero normalized degree: in a random-walk operator that is
-returned its diagonal entry is 1 and its row of Dt^{-1} Wt sums to 1.  The
+returned its diagonal entry is 1, and its matrix is the symmetrization of
+the reference I - Dt^{-1} Wt, whose row of Dt^{-1} Wt sums to 1.  The
 random-walk build is refused exactly when a degree or 1 / normalized degree
 overflows, and the unnormalized one exactly when a degree does.
 """
@@ -21,6 +22,7 @@ from hypothesis import strategies as st  # noqa: E402
 from fairsmooth.errors import InvalidParameter  # noqa: E402
 from fairsmooth.graph import SimilarityGraph  # noqa: E402
 from fairsmooth.laplacian import normalized_rw_laplacian, unnormalized_laplacian  # noqa: E402
+from test_laplacian import assert_symmetrization_of, reference_rw_laplacian  # noqa: E402
 
 TINIEST, HUGE = 5e-324, 1.7e308
 weights = st.one_of(
@@ -71,9 +73,11 @@ def test_random_walk_build_is_finite_or_refused(g):
     L = build(normalized_rw_laplacian, g)
     assert (L is None) == overflows
     if L is not None:
-        assert np.isfinite(L.matrix.data).all() and np.isfinite(L.sym.data).all()
+        assert np.isfinite(L.matrix.data).all()
         assert np.array_equal(L.diagonal, pos.astype(float))
-        row_sums = np.asarray(L.matrix.sum(axis=1)).ravel()
+        R = reference_rw_laplacian(g)
+        assert_symmetrization_of(L, R)
+        row_sums = np.asarray(R.sum(axis=1)).ravel()
         assert np.all(np.abs(row_sums[pos]) <= 1e-12)
 
 

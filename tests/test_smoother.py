@@ -111,6 +111,13 @@ class TestCoordinateDescent:
         f = smooth_coordinate_descent(y, PATH2, 1.0, epochs=1, seed=0, tolerance=1e-30)
         assert np.allclose(f, [0.5, 0.75], atol=1e-12)
 
+    def test_overflowing_lambda_raises_before_the_first_sweep(self):
+        # 1 + lambda * 2 overflows; the sweeps used to warn, then run on inf
+        L = unnormalized_laplacian(graph_from_annotations([(0, 1), (0, 2)], n=3))
+        message = r"^lambda 1e\+308 times max L_ii 2 overflows the coordinate-descent update$"
+        with pytest.raises(NotConverged, match=message):
+            smooth_coordinate_descent(np.zeros(3), L, 1e308, epochs=1, seed=0, tolerance=1e-9)
+
     def test_matches_closed_form_small_instance(self):
         rng = np.random.default_rng(22)
         g, y = random_instance(rng, 10, 1)
